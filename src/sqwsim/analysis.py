@@ -6,17 +6,15 @@ image convention, mapping a coordinate difference into [-n//2, n - n//2).
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .evolve import WalkState, localized_clique_state, renormalize_if_drifting, step
-from .graph import GridSpec, TessellatedGraph, make_grid_of_cliques
-from .noise import NoiseSpec, perturbed_step
-from .rng import child_seed
+from .evolve import WalkState, localized_clique_state
+from .graph import GridSpec, make_grid_of_cliques
+from .noise import NoiseSpec, _trajectory
+from .rng import _map_runs, child_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,31 +96,33 @@ def _classical_kernel(probs: np.ndarray) -> np.ndarray:
     )
 
 
-def classical_distribution(n: int, steps: int) -> PositionDistribution:
-    """Symmetric classical random walk on the torus, one axis step per tick,
-    started from a point mass at (0, 0)."""
+def _classical_walk(n: int, steps: int) -> Iterator[np.ndarray]:
+    """Distributions of the classical walk after t = 0..steps ticks."""
     if n < 1:
         raise ValueError("n must be positive")
     if steps < 0:
         raise ValueError("steps must be non-negative")
     probs = np.zeros((n, n), dtype=np.float64)
     probs[0, 0] = 1.0
+    yield probs
     for _ in range(steps):
         probs = _classical_kernel(probs)
+        yield probs
+
+
+def classical_distribution(n: int, steps: int) -> PositionDistribution:
+    """Symmetric classical random walk on the torus, one axis step per tick,
+    started from a point mass at (0, 0)."""
+    for probs in _classical_walk(n, steps):
+        pass
     return PositionDistribution(probs)
 
 
 def classical_sigma_series(n: int, steps: int) -> np.ndarray:
     """sigma(t) of the classical walk for t = 0..steps (exactly sqrt(t) until
     wrap-around becomes visible)."""
-    out = np.empty(steps + 1, dtype=np.float64)
-    out[0] = 0.0
-    probs = np.zeros((n, n), dtype=np.float64)
-    probs[0, 0] = 1.0
-    for t in range(1, steps + 1):
-        probs = _classical_kernel(probs)
-        out[t] = torus_displacement_stats(PositionDistribution(probs)).sigma
-    return out
+    return np.array([torus_displacement_stats(PositionDistribution(probs)).sigma
+                     for probs in _classical_walk(n, steps)])
 
 
 def aggregate(series: Sequence[np.ndarray]) -> AggregateSeries:
@@ -176,39 +176,6 @@ class DisplacementResult:
     run_seeds: tuple[int, ...]
 
 
-def _displacement_run(
-    tg: TessellatedGraph,
-    spec: GridSpec,
-    steps: int,
-    noise: NoiseSpec,
-    origin: tuple[int, int],
-    rng: np.random.Generator | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    state = localized_clique_state(spec, *origin)
-    sigma = np.empty(steps + 1, dtype=np.float64)
-    sigma[0] = 0.0
-    noisy = not noise.is_off
-    for t in range(1, steps + 1):
-        if noisy:
-            state = perturbed_step(tg, noise, rng, state)
-        else:
-            state = step(tg, state)
-        if t % 1000 == 0:
-            state = renormalize_if_drifting(state)
-        sigma[t] = torus_displacement_stats(position_distribution(state, spec), origin).sigma
-    final = position_distribution(state, spec).probabilities
-    return sigma, final
-
-
-_WORKER_CTX: dict[str, object] = {}
-
-
-def _pool_displacement_run(r: int):
-    tg, spec, steps, noise, origin, seeds = _WORKER_CTX["displacement"]
-    rng = np.random.default_rng(seeds[r])
-    return r, _displacement_run(tg, spec, steps, noise, origin, rng)
-
-
 def displacement_experiment(
     spec: GridSpec,
     steps: int,
@@ -233,37 +200,16 @@ def displacement_experiment(
 
     tg = make_grid_of_cliques(spec)
     seeds = [child_seed(master_seed, r) for r in range(runs)]
+    start = localized_clique_state(spec, *origin)
 
-    if noise.is_off:
-        sigma, final = _displacement_run(tg, spec, steps, noise, origin, None)
-        sigmas = [sigma] * runs
-        finals = [final] * runs
-    elif workers > 1 and runs > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is None:
-            pairs = [(r, _displacement_run(tg, spec, steps, noise, origin, np.random.default_rng(seeds[r]))) for r in range(runs)]
-        else:
-            _WORKER_CTX["displacement"] = (tg, spec, steps, noise, origin, seeds)
-            try:
-                with ProcessPoolExecutor(max_workers=min(workers, runs), mp_context=ctx) as pool:
-                    chunk = max(1, runs // (4 * workers))
-                    pairs = list(pool.map(_pool_displacement_run, range(runs), chunksize=chunk))
-            finally:
-                _WORKER_CTX.pop("displacement", None)
-        by_index = dict(pairs)
-        sigmas = [by_index[r][0] for r in range(runs)]
-        finals = [by_index[r][1] for r in range(runs)]
-    else:
-        sigmas = []
-        finals = []
-        for r in range(runs):
-            sigma, final = _displacement_run(tg, spec, steps, noise, origin, np.random.default_rng(seeds[r]))
-            sigmas.append(sigma)
-            finals.append(final)
+    def sigma_of(state: WalkState) -> float:
+        return torus_displacement_stats(position_distribution(state, spec), origin).sigma
 
+    def run(rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+        sigma, final = _trajectory(tg, start, steps, noise, rng, sigma_of)
+        return sigma, position_distribution(final, spec).probabilities
+
+    sigmas, finals = zip(*_map_runs(run, seeds, workers, replicate=noise.is_off))
     mean_final = np.mean(np.asarray(finals), axis=0)
     return DisplacementResult(
         sigma=aggregate(sigmas),

@@ -274,12 +274,7 @@ def cmd_sweep(args) -> int:
                     master_seed=combo_seed,
                 )
                 series = run_search(cfg, workers=workers)
-                peaks = np.array([float(s.probabilities.max()) for s in series])
-                mean_peak = float(peaks.mean())
-                if peaks.size > 1:
-                    ci = 1.96 * float(peaks.std(ddof=1)) / np.sqrt(peaks.size)
-                else:
-                    ci = 0.0
+                peaks = aggregate([[s.probabilities.max()] for s in series])
                 curve = aggregate([s.probabilities for s in series])
                 summary = peak_metrics(curve.mean)
 
@@ -288,7 +283,7 @@ def cmd_sweep(args) -> int:
                 seed_lines.append(f"# combo[{label}] seed: {combo_seed}")
                 seed_lines.append(f"# combo[{label}] run_seeds: {run_seeds}")
                 rows.append(
-                    f"{n},{q},{_fmt(p)},{_fmt(mean_peak)},{_fmt(ci)},"
+                    f"{n},{q},{_fmt(p)},{_fmt(peaks.mean[0])},{_fmt(peaks.ci_halfwidth[0])},"
                     f"{summary.t_peak},{_fmt(summary.running_time)}"
                 )
                 combo += 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -98,6 +99,10 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         order = np.empty(0, dtype=np.int64)
         amps = np.empty(0, dtype=np.complex128)
         sizes = np.empty(0, dtype=np.int64)
+    amps2 = amps.real**2 + amps.imag**2
+    if not np.all(amps2 > 0.0):
+        # Breaking such a polygon could leave a block that cannot be renormalized.
+        raise ValueError("polygon entry with zero amplitude cannot be compiled")
     starts = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
     flat = _FlatTessellation(
@@ -106,31 +111,22 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         sizes=sizes,
         amps=amps,
         conj_amps=np.conj(amps),
-        amps2=(amps.real**2 + amps.imag**2),
+        amps2=amps2,
         max_vertex=int(order.max()) if order.size else -1,
     )
     _flat_cache[tess] = flat
     return flat
 
 
-def _reflect(flat: _FlatTessellation, vec: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = (2 sum_j |P_j><P_j| - I) vec.  ``out`` must not alias ``vec``."""
-    np.negative(vec, out=out)
-    if flat.order.size:
-        sv = vec[flat.order]
-        inner = np.add.reduceat(flat.conj_amps * sv, flat.starts[:-1])
-        out[flat.order] += (2.0 * np.repeat(inner, flat.sizes)) * flat.amps
-    return out
-
-
-def _reflect_masked(
+def _reflect(
     flat: _FlatTessellation,
     vec: np.ndarray,
     out: np.ndarray,
     entry_alive: np.ndarray | None = None,
     entry_detached: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Reflection with per-entry perturbation masks, aligned with ``flat.order``.
+    """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by per-entry
+    masks aligned with ``flat.order``.  ``out`` must not alias ``vec``.
 
     Entries with entry_alive False are dropped from their polygon (the
     survivors are implicitly renormalized); entries with entry_detached True
@@ -181,22 +177,33 @@ def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
     return WalkState(out)
 
 
-def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
-    """One walk step: apply every tessellation of the cover in index order."""
+def _apply_cover(
+    tg: TessellatedGraph,
+    state: WalkState,
+    entry_masks: Sequence[tuple[np.ndarray | None, np.ndarray | None]] | None = None,
+) -> WalkState:
+    """Apply every tessellation in index order, the t-th one perturbed by the
+    (entry_alive, entry_detached) pair ``entry_masks[t]`` when given."""
     vec = state.amplitudes
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
     cur = vec
     scratch = np.empty_like(vec)
     spare: np.ndarray | None = None
-    for tess in tg.tessellations:
-        _reflect(_flatten(tess), cur, scratch)
+    for t_idx, tess in enumerate(tg.tessellations):
+        alive, detached = (None, None) if entry_masks is None else entry_masks[t_idx]
+        _reflect(_flatten(tess), cur, scratch, alive, detached)
         if spare is None:
             spare = np.empty_like(vec)
         cur, scratch = scratch, (spare if cur is vec else cur)
     if cur is vec:
         cur = vec.copy()
     return WalkState(cur)
+
+
+def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
+    """One walk step: apply every tessellation of the cover in index order."""
+    return _apply_cover(tg, state)
 
 
 def renormalize_if_drifting(state: WalkState) -> WalkState:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -248,6 +248,16 @@ class CoverReport:
         return "\n".join(lines)
 
 
+def _clique_pairs(poly: Polygon) -> Iterator[tuple[int, int]]:
+    """Every vertex pair (a, b) with a < b of one polygon."""
+    return itertools.combinations(sorted(poly.vertices.tolist()), 2)
+
+
+def _polygon_edges(polys: Iterable[Polygon]) -> frozenset[tuple[int, int]]:
+    """The edges inside the given polygons, each as (a, b) with a < b."""
+    return frozenset(pair for poly in polys for pair in _clique_pairs(poly))
+
+
 def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     """Build the toroidal grid of 4q-cliques with its two-tessellation cover.
 
@@ -276,15 +286,7 @@ def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
             link_polys.append(Polygon.uniform(right))
             link_polys.append(Polygon.uniform(up))
 
-    edges = set()
-    for poly in itertools.chain(cell_polys, link_polys):
-        verts = poly.vertices
-        for i in range(verts.size):
-            for j in range(i + 1, verts.size):
-                a, b = int(verts[i]), int(verts[j])
-                edges.add((a, b) if a < b else (b, a))
-
-    graph = SimpleGraph(spec.num_vertices, frozenset(edges))
+    graph = SimpleGraph(spec.num_vertices, _polygon_edges(itertools.chain(cell_polys, link_polys)))
     tessellations = (Tessellation(tuple(cell_polys)), Tessellation(tuple(link_polys)))
     return TessellatedGraph(graph, tessellations)
 
@@ -309,27 +311,14 @@ def validate_cover(tg: TessellatedGraph) -> CoverReport:
         counts = np.zeros(g.num_vertices, dtype=np.int64)
         for p_idx, poly in enumerate(tess.polygons):
             counts[poly.vertices] += 1
-            verts = poly.vertices
-            is_clique = all(
-                g.has_edge(int(verts[i]), int(verts[j]))
-                for i in range(verts.size)
-                for j in range(i + 1, verts.size)
-            )
-            if not is_clique:
+            if not all(g.has_edge(a, b) for a, b in _clique_pairs(poly)):
                 bad_polygons.append((t_idx, p_idx))
         for v in np.flatnonzero(counts == 0):
             uncovered_vertices.append((t_idx, int(v)))
         for v in np.flatnonzero(counts > 1):
             duplicated_vertices.append((t_idx, int(v)))
 
-    covered_edges = set()
-    for tess in tg.tessellations:
-        for poly in tess.polygons:
-            verts = poly.vertices
-            for i in range(verts.size):
-                for j in range(i + 1, verts.size):
-                    a, b = int(verts[i]), int(verts[j])
-                    covered_edges.add((a, b) if a < b else (b, a))
+    covered_edges = _polygon_edges(poly for tess in tg.tessellations for poly in tess.polygons)
     uncovered_edges = sorted(g.edges - covered_edges)
 
     return CoverReport(
@@ -374,15 +363,7 @@ def coined_to_staggered(g: SimpleGraph) -> tuple[TessellatedGraph, tuple[tuple[i
     for u, v in sorted(g.edges):
         shift_polys.append(Polygon.uniform([arc_index[(u, v)], arc_index[(v, u)]]))
 
-    edges = set()
-    for poly in itertools.chain(coin_polys, shift_polys):
-        verts = poly.vertices
-        for i in range(verts.size):
-            for j in range(i + 1, verts.size):
-                a, b = int(verts[i]), int(verts[j])
-                edges.add((a, b) if a < b else (b, a))
-
-    graph = SimpleGraph(len(arcs), frozenset(edges))
+    graph = SimpleGraph(len(arcs), _polygon_edges(itertools.chain(coin_polys, shift_polys)))
     tg = TessellatedGraph(graph, (Tessellation(tuple(coin_polys)), Tessellation(tuple(shift_polys))))
     return tg, tuple(arcs)
 

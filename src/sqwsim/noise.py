@@ -12,17 +12,18 @@ Two break models, both keeping every step exactly unitary:
   term of each reflection.
 
 Perturbations are resampled from the pristine cover at every step
-(:func:`perturbed_step`); plans can also be materialized into explicit
-perturbed covers (:func:`apply_plan`) for cross-checks.
+(:func:`perturbed_step`), which is how the trajectories of both the spreading
+and the search experiments are walked; plans can also be materialized into
+explicit perturbed covers (:func:`apply_plan`) for cross-checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .evolve import WalkState, _flatten, _reflect_masked, step
+from .evolve import WalkState, _apply_cover, _flatten, renormalize_if_drifting, step
 from .graph import Polygon, Tessellation, TessellatedGraph
 
 KINDS = ("none", "break_vertices", "break_polygons")
@@ -256,20 +257,12 @@ def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
 
     Equivalent to ``step(apply_plan(cover, plan), state)`` up to floating
     round-off, but works directly on the pristine cover's compiled layout
-    with per-entry masks, so nothing is rebuilt per step.  Assumes polygon
-    amplitude entries are non-zero (always true for uniform covers).
+    with per-entry masks, so nothing is rebuilt per step.  An empty plan
+    takes exactly the clean path of :func:`sqwsim.evolve.step`.
     """
     tg = plan.cover
-    vec = state.amplitudes
-    if vec.size != tg.num_vertices:
-        raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
-    if plan.is_empty:
-        return step(tg, state)
-
     vmask = plan.broken_vertex_mask
-    cur = vec
-    scratch = np.empty_like(vec)
-    spare: np.ndarray | None = None
+    masks = []
     for t_idx, tess in enumerate(tg.tessellations):
         flat = _flatten(tess)
         alive = None if vmask is None else ~vmask[flat.order]
@@ -283,13 +276,8 @@ def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
             else:
                 detached = np.zeros(flat.order.size, dtype=bool)
                 detached[flat.starts[tb.broken] + tb.lone_slot] = True
-        _reflect_masked(flat, cur, scratch, entry_alive=alive, entry_detached=detached)
-        if spare is None:
-            spare = np.empty_like(vec)
-        cur, scratch = scratch, (spare if cur is vec else cur)
-    if cur is vec:
-        cur = vec.copy()
-    return WalkState(cur)
+        masks.append((alive, detached))
+    return _apply_cover(tg, state, masks)
 
 
 def perturbed_step(
@@ -302,3 +290,29 @@ def perturbed_step(
     """
     plan = sample_plan(tg, spec, rng)
     return plan_step(plan, state)
+
+
+def _trajectory(
+    tg: TessellatedGraph,
+    state: WalkState,
+    steps: int,
+    spec: NoiseSpec,
+    rng: np.random.Generator | None,
+    observe: Callable[[WalkState], float],
+) -> tuple[np.ndarray, WalkState]:
+    """Walk ``steps`` steps from ``state``, each perturbed afresh under ``spec``.
+
+    Returns ``observe`` of the state after t = 0..steps steps, and the final
+    state.  ``rng`` is only drawn from when the noise is on.
+    """
+    series = np.empty(steps + 1, dtype=np.float64)
+    series[0] = observe(state)
+    for t in range(1, steps + 1):
+        if spec.is_off:
+            state = step(tg, state)
+        else:
+            state = perturbed_step(tg, spec, rng, state)
+        if t % 1000 == 0:
+            state = renormalize_if_drifting(state)
+        series[t] = observe(state)
+    return series, state

@@ -7,6 +7,10 @@ can be reproduced in isolation.
 """
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, Sequence
+
 import numpy as np
 
 
@@ -21,3 +25,46 @@ def child_seed(master_seed: int, *path: int) -> int:
 def run_rng(master_seed: int, *path: int) -> np.random.Generator:
     """Generator for one run, independent of all sibling runs."""
     return np.random.default_rng(child_seed(master_seed, *path))
+
+
+_worker_run: Callable[[np.random.Generator], object] | None = None
+
+
+def _set_worker_run(run: Callable[[np.random.Generator], object]) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_seed_in_worker(seed: int):
+    return _worker_run(np.random.default_rng(seed))
+
+
+def _map_runs(
+    run: Callable[[np.random.Generator | None], object],
+    seeds: Sequence[int],
+    workers: int,
+    replicate: bool = False,
+) -> list:
+    """``run(default_rng(seed))`` for every child seed, in seed order.
+
+    Runs are spread over up to ``workers`` forked processes; the fork start
+    method hands each worker ``run`` and the state it closes over without
+    pickling them.  Without fork the runs go serially.  With ``replicate``
+    the run draws nothing, so it is computed once, given no generator, and
+    repeated for every seed.
+    """
+    if replicate:
+        return [run(None)] * len(seeds)
+    if workers > 1 and len(seeds) > 1:
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            ctx = None
+        if ctx is not None:
+            with ProcessPoolExecutor(
+                max_workers=min(workers, len(seeds)), mp_context=ctx,
+                initializer=_set_worker_run, initargs=(run,),
+            ) as pool:
+                chunk = max(1, len(seeds) // (4 * workers))
+                return list(pool.map(_run_seed_in_worker, seeds, chunksize=chunk))
+    return [run(np.random.default_rng(seed)) for seed in seeds]

@@ -9,16 +9,14 @@ marked clique after each step.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import WalkState, renormalize_if_drifting, step, uniform_state
+from .evolve import WalkState, uniform_state
 from .graph import GridSpec, Tessellation, TessellatedGraph, make_grid_of_cliques
-from .noise import NoiseSpec, perturbed_step
-from .rng import child_seed
+from .noise import NoiseSpec, _trajectory
+from .rng import _map_runs, child_seed
 
 
 def default_step_budget(spec: GridSpec, factor: float = 1.5) -> int:
@@ -126,31 +124,6 @@ def success_probability(state: WalkState, spec: GridSpec, marked: tuple[int, int
     return float(np.sum(amps.real**2 + amps.imag**2))
 
 
-def _search_series(partial: TessellatedGraph, cfg: SearchConfig, rng: np.random.Generator | None) -> np.ndarray:
-    state = uniform_state(cfg.spec.num_vertices)
-    out = np.empty(cfg.max_steps + 1, dtype=np.float64)
-    out[0] = success_probability(state, cfg.spec, cfg.marked)
-    noisy = not cfg.noise.is_off
-    for t in range(1, cfg.max_steps + 1):
-        if noisy:
-            state = perturbed_step(partial, cfg.noise, rng, state)
-        else:
-            state = step(partial, state)
-        if t % 1000 == 0:
-            state = renormalize_if_drifting(state)
-        out[t] = success_probability(state, cfg.spec, cfg.marked)
-    return out
-
-
-_WORKER_CTX: dict[str, object] = {}
-
-
-def _pool_search_run(r: int):
-    partial, cfg, seeds = _WORKER_CTX["search"]
-    rng = np.random.default_rng(seeds[r])
-    return r, _search_series(partial, cfg, rng)
-
-
 def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:
     """All runs of a search experiment, in run-index order.
 
@@ -161,33 +134,16 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:
     tg = make_grid_of_cliques(cfg.spec)
     partial = partial_cover(tg, cfg.marked)
     seeds = [child_seed(cfg.master_seed, r) for r in range(cfg.runs)]
+    start = uniform_state(cfg.spec.num_vertices)
 
-    if cfg.noise.is_off:
-        series = _search_series(partial, cfg, None)
-        return [SuccessSeries(series.copy(), seed) for seed in seeds]
+    def observe(state: WalkState) -> float:
+        return success_probability(state, cfg.spec, cfg.marked)
 
-    if workers > 1 and cfg.runs > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            _WORKER_CTX["search"] = (partial, cfg, seeds)
-            try:
-                with ProcessPoolExecutor(max_workers=min(workers, cfg.runs), mp_context=ctx) as pool:
-                    chunk = max(1, cfg.runs // (4 * workers))
-                    pairs = list(pool.map(_pool_search_run, range(cfg.runs), chunksize=chunk))
-            finally:
-                _WORKER_CTX.pop("search", None)
-            out: list[SuccessSeries | None] = [None] * cfg.runs
-            for r, series in pairs:
-                out[r] = SuccessSeries(series, seeds[r])
-            return [s for s in out if s is not None]
+    def run(rng: np.random.Generator | None) -> np.ndarray:
+        return _trajectory(partial, start, cfg.max_steps, cfg.noise, rng, observe)[0]
 
-    return [
-        SuccessSeries(_search_series(partial, cfg, np.random.default_rng(seed)), seed)
-        for seed in seeds
-    ]
+    series = _map_runs(run, seeds, workers, replicate=cfg.noise.is_off)
+    return [SuccessSeries(s, seed) for s, seed in zip(series, seeds)]
 
 
 def peak_metrics(mean_series: np.ndarray) -> RunSummary:

@@ -117,6 +117,12 @@ class TestClassicalWalk:
         dist = classical_distribution(6, 25)
         assert dist.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("walk", [classical_distribution, classical_sigma_series])
+    @pytest.mark.parametrize("n,steps,message", [(0, 5, "n must be positive"), (5, -1, "steps must be non-negative")])
+    def test_rejects_bad_inputs(self, walk, n, steps, message):
+        with pytest.raises(ValueError, match=message):
+            walk(n, steps)
+
 
 class TestAggregate:
     def test_identical_runs_have_zero_ci(self):

@@ -59,11 +59,13 @@ class TestSearchCommand:
         assert any(line.startswith("# t_peak:") for line in lines)
 
     def test_repeat_is_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["search", "--n", "6", "--noise", "polygons", "--p", "0.05", "--runs", "3", "--seed", "11"]
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        outputs = []
+        for tag, workers in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
+            path = tmp_path / f"{tag}.csv"
+            assert main(args + ["--workers", workers, "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        assert all(out == outputs[0] for out in outputs)
 
     def test_env_seed_used_when_flag_absent(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -117,13 +119,13 @@ class TestEvolveCommand:
 
     def test_byte_identical_repeat(self, tmp_path):
         args = ["evolve", "--n", "6", "--steps", "5", "--noise", "polygons", "--p", "0.2",
-                "--split", "one_vs_rest", "--runs", "2", "--seed", "8"]
+                "--split", "one_vs_rest", "--runs", "3", "--seed", "8"]
         files = []
-        for tag in ("x", "y"):
+        for tag, workers in (("w", "1"), ("x", "1"), ("y", "2"), ("z", "3")):
             d, s = tmp_path / f"d{tag}.csv", tmp_path / f"s{tag}.csv"
-            assert main(args + ["--out-dist", str(d), "--out-std", str(s)]) == 0
+            assert main(args + ["--workers", workers, "--out-dist", str(d), "--out-std", str(s)]) == 0
             files.append((d.read_bytes(), s.read_bytes()))
-        assert files[0] == files[1]
+        assert all(f == files[0] for f in files)
 
 
 class TestSweepCommand:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_cover, random_state
 from sqwsim.evolve import WalkState, step
-from sqwsim.graph import GridSpec, Polygon, make_grid_of_cliques
+from sqwsim.graph import GridSpec, Polygon, SimpleGraph, TessellatedGraph, Tessellation, make_grid_of_cliques
 from sqwsim.noise import (
     BreakPlan,
     NoiseSpec,
@@ -279,6 +279,19 @@ class TestPerturbedStep:
 
         ref = apply_tessellation(tg.tessellations[1], state)
         np.testing.assert_allclose(out.amplitudes, ref.amplitudes, atol=1e-13)
+
+    def test_zero_amplitude_entry_rejected_by_both_routes(self):
+        # dropping vertex 0 leaves polygon {0, 1} a block of norm zero; the
+        # masked and the materialized step must both refuse it
+        lopsided = Polygon(np.array([0, 1]), np.array([1.0, 0.0]))
+        tess = Tessellation((lopsided, Polygon.uniform([2, 3])))
+        tg = TessellatedGraph(SimpleGraph(4, frozenset({(0, 1), (2, 3)})), (tess,))
+        plan = BreakPlan(tg, "break_vertices", broken_vertex_mask=np.array([True, False, False, False]))
+        state = WalkState(random_state(np.random.default_rng(3), 4))
+        with pytest.raises(ValueError, match="zero amplitude"):
+            plan_step(plan, state)
+        with pytest.raises(ValueError, match="zero amplitude"):
+            step(apply_plan(tg, plan), state)
 
     def test_plan_for_wrong_cover_rejected(self):
         tg1 = make_grid_of_cliques(GridSpec(2, 1))

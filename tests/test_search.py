@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,24 @@ class TestRunSearch:
         parallel = run_search(cfg, workers=2)
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.probabilities, b.probabilities)
+
+    def test_serial_fallback_without_fork(self, monkeypatch):
+        ns = NoiseSpec(kind="break_vertices", p=0.1)
+        cfg = SearchConfig(spec=GridSpec(5, 1), noise=ns, runs=3, master_seed=29)
+        serial = run_search(cfg, workers=1)
+        asked = []
+
+        def no_fork(method=None):
+            asked.append(method)
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        fallback = run_search(cfg, workers=3)
+        assert asked == ["fork"]
+        assert len(fallback) == len(serial)
+        for a, b in zip(serial, fallback):
+            np.testing.assert_array_equal(a.probabilities, b.probabilities)
+            assert a.run_seed == b.run_seed
 
     def test_p_one_vertex_breaking_freezes_success(self):
         # with every vertex broken every step, each step multiplies the
