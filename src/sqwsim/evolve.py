@@ -4,7 +4,19 @@ Each tessellation T induces the orthogonal reflection
 U_T = 2 * sum_j |P_j><P_j| - I over its polygon states, and one walk step
 applies the tessellations of a cover in index order.  Tessellations are
 compiled once into flat arrays so a reflection costs a few vectorized passes
-over the covered entries instead of a Python loop over polygons.
+over the covered entries instead of a Python loop over polygons.  When all P
+polygons of a tessellation have the same size m (both tessellations of the
+grid of cliques, the coin tessellation of a regular graph) the entries form
+a block of m slots by P polygons, and polygon sums and per-polygon factors
+run along its rows; a tessellation covering vertices 0..E-1 in polygon
+order is read and written in place, with no gather or scatter.  Polygons of
+different sizes keep a flat layout summed with ``reduceat``.  Noise enters
+a reflection as per-entry masks that reweight each polygon by the squared
+amplitudes of its surviving entries.
+
+The step loop makes no BLAS call: the unit-norm check that every new state
+passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
+spins between steps.
 """
 from __future__ import annotations
 
@@ -29,6 +41,13 @@ class InvariantError(RuntimeError):
     """An internal invariant broke (for example unitarity drift beyond tolerance)."""
 
 
+def _norm(amps: np.ndarray) -> float:
+    """Euclidean norm of a contiguous complex vector, summed by a ufunc
+    rather than a (possibly threaded) BLAS dot; NaN for NaN entries."""
+    parts = amps.view(np.float64)
+    return math.sqrt(float(np.add.reduce(parts * parts)))
+
+
 @dataclass(frozen=True, eq=False)
 class WalkState:
     """Unit-norm complex amplitude vector indexed by graph vertex."""
@@ -39,8 +58,8 @@ class WalkState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("state must be a non-empty 1-d amplitude vector")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STATE_NORM_TOL:
+        norm = _norm(amps)
+        if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -67,20 +86,73 @@ def localized_clique_state(spec: GridSpec, x: int = 0, y: int = 0) -> WalkState:
 
 @dataclass(eq=False)
 class _FlatTessellation:
-    """Polygon-major flattening of a tessellation for vectorized reflection.
+    """Compiled layout of a tessellation.
 
     ``order`` lists the covered vertices grouped by polygon; ``starts`` are
-    the polygon boundaries (length P+1), ``amps``/``conj_amps``/``amps2``
-    the aligned amplitudes, their conjugates and their squared magnitudes.
+    the polygon boundaries (length P+1) and ``sizes`` the polygon sizes.
+    Per-entry arrays (``amps``, their conjugates ``conj_amps``, their
+    squared magnitudes ``amps2``, the gather ``index`` and the noise masks)
+    have ``shape``:
+
+    * (m, P) when all P polygons have size m: row j holds slot j of every
+      polygon, so a polygon sum adds m rows of length P and a per-polygon
+      value broadcasts over the rows (a (P, m) block would loop over rows
+      of only m entries);
+    * (E,) for polygons of different sizes, summed with ``reduceat``.
+
+    ``index`` is None when ``order`` is 0..E-1, as for the cells of the grid
+    of cliques: the covered entries are then a view of the state's leading
+    E entries, read and written in place.
     """
 
     order: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
+    shape: tuple[int, ...]
+    index: np.ndarray | None
     amps: np.ndarray
     conj_amps: np.ndarray
     amps2: np.ndarray
     max_vertex: int
+
+    @property
+    def is_block(self) -> bool:
+        return len(self.shape) == 2
+
+    def gather(self, arr: np.ndarray) -> np.ndarray:
+        """The covered entries of a per-vertex array in ``shape`` (a view when in place)."""
+        if self.index is None:
+            return arr[: self.order.size].reshape(self.shape[::-1]).T
+        return arr[self.index]
+
+    def polygon_sums(self, entries: np.ndarray) -> np.ndarray:
+        """Per-polygon sums of per-entry values.
+
+        Blocks add the first slot to the sum of the others, the order in
+        which ``reduceat`` adds a short segment, so both layouts give equal
+        bits for polygons of up to four entries.
+        """
+        if self.is_block:
+            return entries[0] + np.add.reduce(entries[1:], axis=0)
+        return np.add.reduceat(entries, self.starts[:-1])
+
+    def per_entry(self, per_polygon: np.ndarray) -> np.ndarray:
+        """Per-polygon values spread over their entries (broadcast for blocks)."""
+        return per_polygon if self.is_block else np.repeat(per_polygon, self.sizes)
+
+    def entry_mask(self, polygons: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
+        """Per-entry mask (broadcastable to ``shape``), True on every entry of
+        the listed polygons, or only on entry ``slots[i]`` of ``polygons[i]``."""
+        if slots is None:
+            hit = np.zeros(self.sizes.size, dtype=bool)
+            hit[polygons] = True
+            return self.per_entry(hit)
+        mask = np.zeros(self.shape, dtype=bool)
+        if self.is_block:
+            mask[slots, polygons] = True
+        else:
+            mask[self.starts[polygons] + slots] = True
+        return mask
 
 
 _flat_cache: "WeakKeyDictionary[Tessellation, _FlatTessellation]" = WeakKeyDictionary()
@@ -105,13 +177,21 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         raise ValueError("polygon entry with zero amplitude cannot be compiled")
     starts = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=starts[1:])
+    m = int(sizes[0]) if sizes.size and np.all(sizes == sizes[0]) else 0
+
+    def laid_out(entries: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(entries.reshape(-1, m).T) if m else entries
+
+    in_place = np.array_equal(order, np.arange(order.size))
     flat = _FlatTessellation(
         order=order,
         starts=starts,
         sizes=sizes,
-        amps=amps,
-        conj_amps=np.conj(amps),
-        amps2=amps2,
+        shape=laid_out(order).shape,
+        index=None if in_place else laid_out(order),
+        amps=laid_out(amps),
+        conj_amps=laid_out(np.conj(amps)),
+        amps2=laid_out(amps2),
         max_vertex=int(order.max()) if order.size else -1,
     )
     _flat_cache[tess] = flat
@@ -122,48 +202,59 @@ def _reflect(
     flat: _FlatTessellation,
     vec: np.ndarray,
     out: np.ndarray,
-    entry_alive: np.ndarray | None = None,
-    entry_detached: np.ndarray | None = None,
+    drop: np.ndarray | None = None,
+    lone: np.ndarray | None = None,
 ) -> np.ndarray:
     """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by per-entry
-    masks aligned with ``flat.order``.  ``out`` must not alias ``vec``.
+    masks broadcastable to ``flat.shape``.  ``out`` must not alias ``vec``.
 
-    Entries with entry_alive False are dropped from their polygon (the
-    survivors are implicitly renormalized); entries with entry_detached True
-    act as singleton polygons of their own.  A vertex covered by no
-    surviving polygon entry just picks up the -I term.
+    Entries marked in ``drop`` leave their polygon, whose surviving block is
+    renormalized by the per-polygon survivor weight (the sum of |amplitude|^2
+    over entries not dropped); they pick up the -I term, or +1 where ``lone``
+    marks them as singleton polygons of their own.  A vertex covered by no
+    polygon picks up the -I term.
     """
-    np.negative(vec, out=out)
-    if not flat.order.size:
+    size = flat.order.size
+    if flat.index is None:
+        sv = flat.gather(vec)
+        res = flat.gather(out)
+        np.negative(vec[size:], out=out[size:])
+    else:
+        sv = vec[flat.index]
+        res = np.empty_like(sv)
+        if size < vec.size:
+            np.negative(vec, out=out)
+    if not size:
         return out
-    if entry_alive is None and entry_detached is None:
-        sv = vec[flat.order]
-        inner = np.add.reduceat(flat.conj_amps * sv, flat.starts[:-1])
-        out[flat.order] += (2.0 * np.repeat(inner, flat.sizes)) * flat.amps
-        return out
-
-    keep = np.ones(flat.order.size, dtype=bool)
-    if entry_alive is not None:
-        keep &= entry_alive
-    if entry_detached is not None:
-        keep &= ~entry_detached
-
-    sv = vec[flat.order]
-    weight = np.add.reduceat(flat.amps2 * keep, flat.starts[:-1])
-    raw = np.add.reduceat(flat.conj_amps * sv * keep, flat.starts[:-1])
-    factor = np.zeros(flat.sizes.size, dtype=np.complex128)
-    nonzero = weight > 0.0
-    factor[nonzero] = 2.0 * raw[nonzero] / weight[nonzero]
-    update = np.repeat(factor, flat.sizes) * flat.amps
-    update[~keep] = 0.0
-    out[flat.order] += update
-
-    if entry_detached is not None:
-        det = entry_detached if entry_alive is None else (entry_detached & entry_alive)
-        if det.any():
-            # A detached entry reflects as its own unit polygon: net effect +vec.
-            out[flat.order[det]] += 2.0 * sv[det]
+    if drop is None:
+        factor = 2.0 * flat.polygon_sums(flat.conj_amps * sv)
+    else:
+        weight = flat.polygon_sums(np.where(drop, 0.0, flat.amps2))
+        terms = flat.conj_amps * sv
+        np.copyto(terms, 0.0, where=drop)
+        scale = np.zeros_like(weight)
+        np.divide(2.0, weight, out=scale, where=weight > 0.0)
+        factor = flat.polygon_sums(terms) * scale
+    np.multiply(flat.per_entry(factor), flat.amps, out=res)
+    res -= sv
+    if drop is not None:
+        np.negative(sv, out=res, where=drop)
+    if lone is not None:
+        # A lone entry reflects as its own unit polygon: net effect +vec.
+        np.copyto(res, sv, where=lone)
+    if flat.index is not None:
+        out[flat.index] = res
     return out
+
+
+def _unitary_image(amps: np.ndarray) -> WalkState:
+    """The state a reflection product made from a valid state.  Reflections
+    are unitary, so a norm off by more than STATE_NORM_TOL is a broken
+    invariant, not bad input."""
+    try:
+        return WalkState(amps)
+    except ValueError as exc:
+        raise InvariantError(f"walk step broke unitarity: {exc}") from None
 
 
 def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
@@ -173,8 +264,7 @@ def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
     if flat.max_vertex >= vec.size:
         raise ValueError(f"tessellation references vertex {flat.max_vertex} >= state size {vec.size}")
     out = np.empty_like(vec)
-    _reflect(flat, vec, out)
-    return WalkState(out)
+    return _unitary_image(_reflect(flat, vec, out))
 
 
 def _apply_cover(
@@ -183,22 +273,19 @@ def _apply_cover(
     entry_masks: Sequence[tuple[np.ndarray | None, np.ndarray | None]] | None = None,
 ) -> WalkState:
     """Apply every tessellation in index order, the t-th one perturbed by the
-    (entry_alive, entry_detached) pair ``entry_masks[t]`` when given."""
+    (drop, lone) pair ``entry_masks[t]`` when given.  Reflections alternate
+    between two buffers, so a step allocates at most two state vectors."""
     vec = state.amplitudes
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
+    buffers = [np.empty_like(vec) for _ in range(min(2, tg.num_tessellations))]
     cur = vec
-    scratch = np.empty_like(vec)
-    spare: np.ndarray | None = None
     for t_idx, tess in enumerate(tg.tessellations):
-        alive, detached = (None, None) if entry_masks is None else entry_masks[t_idx]
-        _reflect(_flatten(tess), cur, scratch, alive, detached)
-        if spare is None:
-            spare = np.empty_like(vec)
-        cur, scratch = scratch, (spare if cur is vec else cur)
+        drop, lone = (None, None) if entry_masks is None else entry_masks[t_idx]
+        cur = _reflect(_flatten(tess), cur, buffers[t_idx % 2], drop, lone)
     if cur is vec:
         cur = vec.copy()
-    return WalkState(cur)
+    return _unitary_image(cur)
 
 
 def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
@@ -208,9 +295,9 @@ def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
 
 def renormalize_if_drifting(state: WalkState) -> WalkState:
     """Guard for long loops: fix tiny norm drift, refuse to mask real breakage."""
-    norm = float(np.linalg.norm(state.amplitudes))
+    norm = _norm(state.amplitudes)
     drift = abs(norm - 1.0)
-    if drift > _DRIFT_ERROR:
+    if not drift <= _DRIFT_ERROR:
         raise InvariantError(f"walk state norm drifted to {norm!r}")
     if drift > _DRIFT_RENORM:
         return WalkState(state.amplitudes / norm)

@@ -102,7 +102,7 @@ class Polygon:
         if np.min(verts) < 0:
             raise ValueError("negative vertex index in polygon")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:
             raise ValueError(f"polygon amplitudes have squared norm {norm2!r}, expected 1")
         verts.setflags(write=False)
         amps.setflags(write=False)

@@ -257,26 +257,22 @@ def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
 
     Equivalent to ``step(apply_plan(cover, plan), state)`` up to floating
     round-off, but works directly on the pristine cover's compiled layout
-    with per-entry masks, so nothing is rebuilt per step.  An empty plan
-    takes exactly the clean path of :func:`sqwsim.evolve.step`.
+    with per-entry masks, so nothing is rebuilt per step: a broken vertex
+    drops out of its polygon in every tessellation, and the split-off
+    entries of a broken polygon drop out and reflect as singletons.  An
+    empty plan takes exactly the clean path of :func:`sqwsim.evolve.step`.
     """
     tg = plan.cover
     vmask = plan.broken_vertex_mask
     masks = []
     for t_idx, tess in enumerate(tg.tessellations):
         flat = _flatten(tess)
-        alive = None if vmask is None else ~vmask[flat.order]
-        detached = None
+        drop = None if vmask is None else flat.gather(vmask)
+        lone = None
         tb = plan.polygon_breaks.get(t_idx)
         if tb is not None:
-            if tb.lone_slot is None:
-                poly_hit = np.zeros(flat.sizes.size, dtype=bool)
-                poly_hit[tb.broken] = True
-                detached = np.repeat(poly_hit, flat.sizes)
-            else:
-                detached = np.zeros(flat.order.size, dtype=bool)
-                detached[flat.starts[tb.broken] + tb.lone_slot] = True
-        masks.append((alive, detached))
+            drop = lone = flat.entry_mask(tb.broken, tb.lone_slot)
+        masks.append((drop, lone))
     return _apply_cover(tg, state, masks)
 
 

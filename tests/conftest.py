@@ -1,11 +1,18 @@
-"""Shared helpers: random tessellation covers and acceptance-line reporting."""
+"""Shared helpers: random tessellation covers, the hypothesis profile and
+acceptance-line reporting."""
 from __future__ import annotations
 
 import re
 
 import numpy as np
+from hypothesis import settings
 
 from sqwsim.graph import Polygon, SimpleGraph, Tessellation, TessellatedGraph
+
+# Derandomized so every run draws the same examples; no deadline, because
+# example timings on a loaded machine say nothing about correctness.
+settings.register_profile("sqwsim", derandomize=True, deadline=None)
+settings.load_profile("sqwsim")
 
 _ACCEPTANCE_NAME = re.compile(r"^test_(c\d{2})_")
 

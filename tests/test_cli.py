@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sqwsim.evolve
 from sqwsim.cli import main
 from sqwsim.graph import GridSpec, make_grid_of_cliques, write_cover, write_graph
 
@@ -116,6 +117,20 @@ class TestEvolveCommand:
         assert len(data) == 8  # header + steps 0..6
         seeds_line = next(l for l in std.read_text().splitlines() if l.startswith("# run_seeds:"))
         assert len(seeds_line.split(":")[1].split(",")) == 3
+
+    def test_drift_inside_the_walk_exits_3(self, tmp_path, monkeypatch, capsys):
+        reflect = sqwsim.evolve._reflect
+
+        def leaky_reflect(*args, **kwargs):
+            out = reflect(*args, **kwargs)
+            out *= 1.0 + 1e-9
+            return out
+
+        monkeypatch.setattr(sqwsim.evolve, "_reflect", leaky_reflect)
+        rc = main(["evolve", "--n", "4", "--steps", "3", "--workers", "1",
+                   "--out-dist", str(tmp_path / "d.csv"), "--out-std", str(tmp_path / "s.csv")])
+        assert rc == 3
+        assert "internal error" in capsys.readouterr().err
 
     def test_byte_identical_repeat(self, tmp_path):
         args = ["evolve", "--n", "6", "--steps", "5", "--noise", "polygons", "--p", "0.2",

@@ -5,14 +5,25 @@ import pytest
 
 from conftest import random_cover, random_state
 from sqwsim.evolve import (
+    InvariantError,
     WalkState,
+    _flatten,
     apply_tessellation,
     localized_clique_state,
     renormalize_if_drifting,
     step,
     uniform_state,
 )
-from sqwsim.graph import GridSpec, Polygon, SimpleGraph, Tessellation, TessellatedGraph, make_grid_of_cliques
+from sqwsim.graph import (
+    GridSpec,
+    Polygon,
+    SimpleGraph,
+    Tessellation,
+    TessellatedGraph,
+    coined_to_staggered,
+    make_grid_of_cliques,
+)
+from sqwsim.search import partial_cover
 
 
 class TestWalkState:
@@ -23,6 +34,10 @@ class TestWalkState:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WalkState(np.array([], dtype=complex))
+
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="norm"):
+            WalkState(np.array([np.nan, 0.0]))
 
     def test_uniform_state(self):
         s = uniform_state(4)
@@ -85,6 +100,30 @@ class TestApplyTessellation:
             np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-13)
 
 
+class TestCompiledLayout:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_grid_tessellations_are_blocks_cells_in_place(self, q):
+        spec = GridSpec(3, q)
+        cells, links = (_flatten(t) for t in make_grid_of_cliques(spec).tessellations)
+        assert cells.shape == (4 * q, 9) and cells.index is None
+        assert links.shape == (2 * q, 18) and links.index is not None
+
+    def test_partial_cover_keeps_a_gathered_block(self):
+        tg = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1))
+        flat = _flatten(tg.tessellations[0])
+        assert flat.shape == (4, 8) and flat.index is not None
+
+    def test_coin_tessellation_of_a_regular_graph_is_an_in_place_block(self):
+        cycle = SimpleGraph(5, frozenset((v, (v + 1) % 5) for v in range(5)))
+        coin, shift = (_flatten(t) for t in coined_to_staggered(cycle)[0].tessellations)
+        assert coin.shape == (2, 5) and coin.index is None
+        assert shift.shape == (2, 5)
+
+    def test_mixed_sizes_stay_flat(self):
+        tess = Tessellation((Polygon.uniform([0, 1, 2]), Polygon.uniform([3])))
+        assert _flatten(tess).shape == (4,)
+
+
 class TestStep:
     def test_uniform_is_fixed_on_grid(self):
         for spec in (GridSpec(2, 1), GridSpec(5, 1), GridSpec(3, 2)):
@@ -133,6 +172,12 @@ class TestRenormGuard:
     def test_pass_through(self):
         s = uniform_state(4)
         assert renormalize_if_drifting(s) is s
+
+    def test_nan_state_is_an_invariant_error(self):
+        state = uniform_state(4)
+        object.__setattr__(state, "amplitudes", np.array([np.nan, 0.5, 0.5, 0.5], dtype=complex))
+        with pytest.raises(InvariantError):
+            renormalize_if_drifting(state)
 
     def test_small_drift_renormalized(self):
         amps = np.full(4, 0.5 * (1.0 + 3e-11), dtype=complex)

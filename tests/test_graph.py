@@ -35,6 +35,10 @@ class TestPolygon:
         with pytest.raises(ValueError, match="norm"):
             Polygon(np.array([0, 1]), np.array([1.0, 1.0]))
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="norm"):
+            Polygon(np.array([0, 1]), np.array([np.nan, 1.0]))
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
             Polygon(np.array([0, 1]), np.array([1.0]))
