@@ -5,13 +5,18 @@ vectors) with pairwise disjoint vertex sets.  A tessellation cover is a list
 of tessellations whose within-polygon edges jointly cover every edge of the
 underlying graph.  The staggered walk operator is built from these covers in
 :mod:`sqwsim.evolve`.
+
+Covers are stored as flat arrays.  A tessellation keeps its covered vertices
+in polygon order, the polygon boundaries and the amplitudes; a graph keeps
+its edges as a sorted (E, 2) array.  The ``Polygon`` objects of a
+tessellation and the frozenset of a graph's edges are built only when read.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -27,55 +32,92 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True, eq=False)
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of an integer array, ascending.
+
+    A sort and a neighbour compare: on numpy 2.4, ``np.unique`` takes about
+    25x longer on 40,000 integers.
+    """
+    ordered = np.sort(values, axis=None)
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return ordered if fresh.all() else ordered[fresh]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class SimpleGraph:
     """Undirected simple graph on vertices 0..num_vertices-1.
 
-    Edges are stored as a frozenset of (u, v) pairs with u < v; any iterable
-    of pairs is normalized on construction.
+    ``edge_array`` holds each edge once as a row (u, v) with u < v, rows in
+    ascending order, and ``_keys`` the matching sorted keys
+    u * num_vertices + v.  Any iterable of pairs, or an (E, 2) integer
+    array, is normalized on construction, and a pair given twice is kept
+    once.  ``edges`` gives the same edges as a frozenset of tuples, built on
+    first read.
     """
 
     num_vertices: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    edge_array: np.ndarray
 
-    def __post_init__(self):
-        n = self.num_vertices
+    def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
+        n = int(num_vertices)
         if n < 0:
             raise ValueError("num_vertices must be non-negative")
-        norm = set()
-        for edge in self.edges:
-            u, v = edge
-            u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-            norm.add((u, v) if u < v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("edges must be (u, v) pairs")
+        lo = np.minimum(pairs[:, 0], pairs[:, 1])
+        hi = np.maximum(pairs[:, 0], pairs[:, 1])
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise ValueError(f"self-loop at vertex {int(lo[loops[0]])}")
+        if lo.size and (lo.min() < 0 or hi.max() >= n):
+            a, b = pairs[np.flatnonzero((lo < 0) | (hi >= n))[0]].tolist()
+            raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
+        keys = _sorted_distinct(lo * n + hi)
+        edge_array = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, max(n, 1), out=(edge_array[:, 0], edge_array[:, 1]))
+        keys.setflags(write=False)
+        edge_array.setflags(write=False)
+        object.__setattr__(self, "num_vertices", n)
+        object.__setattr__(self, "edge_array", edge_array)
+        object.__setattr__(self, "_keys", keys)
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, self.edge_array.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self._keys.size)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges or (v, u) in self.edges
+        lo, hi = sorted((int(u), int(v)))
+        if lo < 0 or hi >= self.num_vertices:
+            return False
+        key = lo * self.num_vertices + hi
+        slot = int(np.searchsorted(self._keys, key))
+        return slot < self._keys.size and int(self._keys[slot]) == key
 
     def degree_sequence(self) -> np.ndarray:
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.edge_array.ravel(), minlength=self.num_vertices).astype(np.int64)
+
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions of every edge as (tails, heads), sorted by tail, then head."""
+        e = self.edge_array
+        tails = np.concatenate((e[:, 0], e[:, 1]))
+        heads = np.concatenate((e[:, 1], e[:, 0]))
+        order = np.lexsort((heads, tails))
+        return tails[order], heads[order]
 
     def neighbors(self) -> list[list[int]]:
         """Adjacency lists with each neighborhood sorted ascending."""
-        adj: list[list[int]] = [[] for _ in range(self.num_vertices)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj:
-            lst.sort()
-        return adj
+        tails, heads = self._arcs()
+        bounds = np.searchsorted(tails, np.arange(self.num_vertices + 1)).tolist()
+        return [heads[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +139,7 @@ class Polygon:
             raise ValueError("a polygon needs a non-empty 1-d vertex array")
         if amps.shape != verts.shape:
             raise ValueError("vertices and amplitudes must be parallel arrays")
-        if np.unique(verts).size != verts.size:
+        if _sorted_distinct(verts).size != verts.size:
             raise ValueError("duplicate vertex in polygon")
         if np.min(verts) < 0:
             raise ValueError("negative vertex index in polygon")
@@ -116,38 +158,115 @@ class Polygon:
         amps = np.full(verts.shape, 1.0 / math.sqrt(verts.size), dtype=np.complex128)
         return cls(verts, amps)
 
+    @classmethod
+    def _unchecked(cls, vertices: np.ndarray, amplitudes: np.ndarray) -> "Polygon":
+        """A polygon over read-only int64 and complex128 arrays that a
+        tessellation has already checked; skips ``__post_init__``."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "vertices", vertices)
+        object.__setattr__(poly, "amplitudes", amplitudes)
+        return poly
+
     @property
     def size(self) -> int:
         return int(self.vertices.size)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Tessellation:
-    """Polygons with pairwise disjoint vertex sets.
+    """Polygons with pairwise disjoint vertex sets, stored as flat arrays.
 
-    ``covers_all_vertices`` records whether the polygons partition the whole
-    vertex set of the ambient graph; perturbed tessellations may leave
-    vertices uncovered.
+    ``vertices`` lists the covered vertices polygon by polygon: polygon j
+    holds ``vertices[starts[j]:starts[j + 1]]``, with the parallel slice of
+    ``amplitudes``.  Build a tessellation from ``Polygon`` objects, or from
+    the three arrays with :meth:`from_arrays`; either way the arrays are
+    checked as a whole, and ``polygons`` gives the ``Polygon`` sequence,
+    built on first read.  ``covers_all_vertices`` records whether the
+    polygons partition the whole vertex set of the ambient graph; perturbed
+    tessellations may leave vertices uncovered.
     """
 
-    polygons: tuple[Polygon, ...]
-    covers_all_vertices: bool = True
+    vertices: np.ndarray
+    starts: np.ndarray
+    amplitudes: np.ndarray
+    covers_all_vertices: bool
 
-    def __post_init__(self):
-        polys = tuple(self.polygons)
-        all_verts = np.concatenate([p.vertices for p in polys]) if polys else np.empty(0, np.int64)
-        if np.unique(all_verts).size != all_verts.size:
-            raise ValueError("tessellation polygons overlap")
-        object.__setattr__(self, "polygons", polys)
+    def __init__(self, polygons: Iterable[Polygon] = (), covers_all_vertices: bool = True):
+        polys = tuple(polygons)
+        starts = np.concatenate(([0], np.cumsum([p.size for p in polys], dtype=np.int64)))
+        if polys:
+            verts = np.concatenate([p.vertices for p in polys])
+            amps = np.concatenate([p.amplitudes for p in polys])
+        else:
+            verts = np.empty(0, dtype=np.int64)
+            amps = np.empty(0, dtype=np.complex128)
+        self._store(verts, starts, amps, covers_all_vertices)
+        self.__dict__["polygons"] = polys
+
+    @classmethod
+    def from_arrays(
+        cls,
+        vertices: np.ndarray,
+        starts: np.ndarray,
+        amplitudes: np.ndarray,
+        covers_all_vertices: bool = True,
+    ) -> "Tessellation":
+        """A tessellation over flat arrays laid out as the class docstring says."""
+        tess = cls.__new__(cls)
+        tess._store(vertices, starts, amplitudes, covers_all_vertices)
+        return tess
+
+    def _store(self, vertices, starts, amplitudes, covers_all_vertices: bool) -> None:
+        verts = np.ascontiguousarray(vertices, dtype=np.int64)
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+        if verts.ndim != 1 or amps.shape != verts.shape:
+            raise ValueError("vertices and amplitudes must be parallel 1-d arrays")
+        if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or starts[-1] != verts.size:
+            raise ValueError("polygon starts must run from 0 to the number of entries")
+        if np.any(starts[1:] <= starts[:-1]):
+            raise ValueError("every polygon needs at least one vertex")
+        if verts.size:
+            if verts.min() < 0:
+                raise ValueError("negative vertex index in polygon")
+            if _sorted_distinct(verts).size != verts.size:
+                polygon_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+                keyed = polygon_of * (int(verts.max()) + 1) + verts
+                if _sorted_distinct(keyed).size != keyed.size:
+                    raise ValueError("duplicate vertex in polygon")
+                raise ValueError("tessellation polygons overlap")
+            norm2 = np.add.reduceat(amps.real**2 + amps.imag**2, starts[:-1])
+            bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
+            if bad.size:
+                raise ValueError(
+                    f"polygon amplitudes have squared norm {float(norm2[bad[0]])!r}, expected 1"
+                )
+        for arr in (verts, starts, amps):
+            arr.setflags(write=False)
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "covers_all_vertices", bool(covers_all_vertices))
+
+    @functools.cached_property
+    def polygons(self) -> tuple[Polygon, ...]:
+        """The polygons in order, as ``Polygon`` views of the arrays."""
+        bounds = self.starts.tolist()
+        return tuple(
+            Polygon._unchecked(self.vertices[a:b], self.amplitudes[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        )
 
     @property
     def num_polygons(self) -> int:
-        return len(self.polygons)
+        return int(self.starts.size - 1)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.diff(self.starts)
 
     def covered_vertices(self) -> np.ndarray:
-        if not self.polygons:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([p.vertices for p in self.polygons])
+        return self.vertices
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +285,8 @@ class TessellatedGraph:
         tess = tuple(self.tessellations)
         n = self.graph.num_vertices
         for t_idx, t in enumerate(tess):
-            cov = t.covered_vertices()
-            if cov.size and int(cov.max()) >= n:
-                raise ValueError(f"tessellation {t_idx} references vertex {int(cov.max())} >= {n}")
+            if t.vertices.size and int(t.vertices.max()) >= n:
+                raise ValueError(f"tessellation {t_idx} references vertex {int(t.vertices.max())} >= {n}")
         object.__setattr__(self, "tessellations", tess)
 
     @property
@@ -248,14 +366,16 @@ class CoverReport:
         return "\n".join(lines)
 
 
-def _clique_pairs(poly: Polygon) -> Iterator[tuple[int, int]]:
-    """Every vertex pair (a, b) with a < b of one polygon."""
-    return itertools.combinations(sorted(poly.vertices.tolist()), 2)
-
-
-def _polygon_edges(polys: Iterable[Polygon]) -> frozenset[tuple[int, int]]:
-    """The edges inside the given polygons, each as (a, b) with a < b."""
-    return frozenset(pair for poly in polys for pair in _clique_pairs(poly))
+def _polygon_pairs(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry positions (i, j), i < j, of every two entries of one polygon,
+    for polygons bounded by ``starts``; polygon by polygon, i ascending."""
+    sizes = np.diff(starts)
+    entries = np.arange(starts[-1])
+    later = np.repeat(starts[1:], sizes) - entries - 1
+    first = np.repeat(entries, later)
+    run_start = np.cumsum(later) - later
+    second = first + 1 + np.arange(first.size) - np.repeat(run_start, later)
+    return first, second
 
 
 def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
@@ -267,28 +387,46 @@ def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     direction +x from cell (x, y) pairs local slots [0, q) with slots
     [2q, 3q) of cell (x+1, y); the link in direction +y pairs [q, 2q) with
     [3q, 4q) of cell (x, y+1).
+
+    Both tessellations are generated as blocks of index arithmetic, and the
+    edges as the pairs inside each cell plus the q*q cross pairs of each
+    link, which no cell holds.
     """
     n, q = spec.n, spec.q
     cell = spec.cell_size
+    num = spec.num_vertices
+    cell_index = np.arange(n * n, dtype=np.int64)
+    x, y = np.divmod(cell_index, n)
+    base = cell_index[:, None] * cell
+    right = (((x + 1) % n) * n + y)[:, None] * cell
+    up = (x * n + (y + 1) % n)[:, None] * cell
+    k = np.arange(q, dtype=np.int64)
+    links = np.empty((n * n, 2, 2, q), dtype=np.int64)
+    links[:, 0, 0] = base + k
+    links[:, 0, 1] = right + 2 * q + k
+    links[:, 1, 0] = base + q + k
+    links[:, 1, 1] = up + 3 * q + k
 
-    cell_polys = []
-    link_polys = []
-    for x in range(n):
-        for y in range(n):
-            base = (x * n + y) * cell
-            cell_polys.append(Polygon.uniform(range(base, base + cell)))
-    for x in range(n):
-        for y in range(n):
-            right = [spec.vertex_index(x, y, k) for k in range(q)]
-            right += [spec.vertex_index(x + 1, y, 2 * q + k) for k in range(q)]
-            up = [spec.vertex_index(x, y, q + k) for k in range(q)]
-            up += [spec.vertex_index(x, y + 1, 3 * q + k) for k in range(q)]
-            link_polys.append(Polygon.uniform(right))
-            link_polys.append(Polygon.uniform(up))
-
-    graph = SimpleGraph(spec.num_vertices, _polygon_edges(itertools.chain(cell_polys, link_polys)))
-    tessellations = (Tessellation(tuple(cell_polys)), Tessellation(tuple(link_polys)))
-    return TessellatedGraph(graph, tessellations)
+    cells = Tessellation.from_arrays(
+        np.arange(num, dtype=np.int64),
+        np.arange(0, num + 1, cell, dtype=np.int64),
+        np.full(num, 1.0 / math.sqrt(cell), dtype=np.complex128),
+    )
+    link_tess = Tessellation.from_arrays(
+        links.ravel(),
+        np.arange(0, num + 1, 2 * q, dtype=np.int64),
+        np.full(num, 1.0 / math.sqrt(2 * q), dtype=np.complex128),
+    )
+    slot_u, slot_v = np.triu_indices(cell, 1)
+    edges = np.empty((n * n * (slot_u.size + 2 * q * q), 2), dtype=np.int64)
+    in_cell = edges[: n * n * slot_u.size].reshape(n * n, slot_u.size, 2)
+    in_cell[..., 0] = base + slot_u
+    in_cell[..., 1] = base + slot_v
+    cross = edges[n * n * slot_u.size :].reshape(-1, q, q, 2)
+    halves = links.reshape(-1, 2, q)
+    cross[..., 0] = halves[:, 0, :, None]
+    cross[..., 1] = halves[:, 1, None, :]
+    return TessellatedGraph(SimpleGraph(num, edges), (cells, link_tess))
 
 
 def expected_grid_edge_count(spec: GridSpec) -> int:
@@ -303,23 +441,27 @@ def expected_grid_edge_count(spec: GridSpec) -> int:
 def validate_cover(tg: TessellatedGraph) -> CoverReport:
     """Check the three cover conditions and report every violation found."""
     g = tg.graph
+    n = g.num_vertices
+    edge_covered = np.zeros(g.num_edges, dtype=bool)
     bad_polygons = []
     uncovered_vertices = []
     duplicated_vertices = []
 
     for t_idx, tess in enumerate(tg.tessellations):
-        counts = np.zeros(g.num_vertices, dtype=np.int64)
-        for p_idx, poly in enumerate(tess.polygons):
-            counts[poly.vertices] += 1
-            if not all(g.has_edge(a, b) for a, b in _clique_pairs(poly)):
-                bad_polygons.append((t_idx, p_idx))
-        for v in np.flatnonzero(counts == 0):
-            uncovered_vertices.append((t_idx, int(v)))
-        for v in np.flatnonzero(counts > 1):
-            duplicated_vertices.append((t_idx, int(v)))
+        counts = np.bincount(tess.vertices, minlength=n)
+        first, second = _polygon_pairs(tess.starts)
+        u, v = tess.vertices[first], tess.vertices[second]
+        pair_keys = np.minimum(u, v) * n + np.maximum(u, v)
+        slot = np.searchsorted(g._keys, pair_keys)
+        found = slot < g.num_edges
+        found[found] = g._keys[slot[found]] == pair_keys[found]
+        edge_covered[slot[found]] = True
+        polygon_of = np.searchsorted(tess.starts, first[~found], side="right") - 1
+        bad_polygons.extend((t_idx, p) for p in _sorted_distinct(polygon_of).tolist())
+        uncovered_vertices.extend((t_idx, v) for v in np.flatnonzero(counts == 0).tolist())
+        duplicated_vertices.extend((t_idx, v) for v in np.flatnonzero(counts > 1).tolist())
 
-    covered_edges = _polygon_edges(poly for tess in tg.tessellations for poly in tess.polygons)
-    uncovered_edges = sorted(g.edges - covered_edges)
+    uncovered_edges = tuple(map(tuple, g.edge_array[~edge_covered].tolist()))
 
     return CoverReport(
         clique_ok=not bad_polygons,
@@ -328,7 +470,7 @@ def validate_cover(tg: TessellatedGraph) -> CoverReport:
         uncovered_vertices=tuple(uncovered_vertices),
         duplicated_vertices=tuple(duplicated_vertices),
         edge_cover_ok=not uncovered_edges,
-        uncovered_edges=tuple(uncovered_edges),
+        uncovered_edges=uncovered_edges,
         tessellation_count=tg.num_tessellations,
     )
 
@@ -342,30 +484,31 @@ def coined_to_staggered(g: SimpleGraph) -> tuple[TessellatedGraph, tuple[tuple[i
     per-vertex in ascending neighbour order.  Returns the cover and the arc
     table mapping each new vertex to its (tail, head) pair.
     """
-    adj = g.neighbors()
-    if any(len(lst) == 0 for lst in adj):
+    n = g.num_vertices
+    tails, heads = g._arcs()
+    degrees = np.bincount(tails, minlength=n)
+    if np.any(degrees == 0):
         raise ValueError("conversion requires minimum degree 1 (no isolated vertices)")
 
-    arcs: list[tuple[int, int]] = []
-    arc_index: dict[tuple[int, int], int] = {}
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            arc_index[(u, v)] = len(arcs)
-            arcs.append((u, v))
-
-    coin_polys = []
-    pos = 0
-    for u, nbrs in enumerate(adj):
-        coin_polys.append(Polygon.uniform(range(pos, pos + len(nbrs))))
-        pos += len(nbrs)
-
-    shift_polys = []
-    for u, v in sorted(g.edges):
-        shift_polys.append(Polygon.uniform([arc_index[(u, v)], arc_index[(v, u)]]))
-
-    graph = SimpleGraph(len(arcs), _polygon_edges(itertools.chain(coin_polys, shift_polys)))
-    tg = TessellatedGraph(graph, (Tessellation(tuple(coin_polys)), Tessellation(tuple(shift_polys))))
-    return tg, tuple(arcs)
+    num_arcs = tails.size
+    arc_keys = tails * n + heads
+    u, v = g.edge_array[:, 0], g.edge_array[:, 1]
+    shift_pairs = np.stack((np.searchsorted(arc_keys, u * n + v), np.searchsorted(arc_keys, v * n + u)), axis=1)
+    coin = Tessellation.from_arrays(
+        np.arange(num_arcs),
+        np.concatenate(([0], np.cumsum(degrees))),
+        np.repeat(1.0 / np.sqrt(degrees), degrees),
+    )
+    shift = Tessellation.from_arrays(
+        shift_pairs.ravel(),
+        np.arange(0, num_arcs + 1, 2),
+        np.full(num_arcs, 1.0 / math.sqrt(2)),
+    )
+    # The coin tessellation covers the arcs 0..A-1 in order, so its entry
+    # positions are the arcs themselves.
+    coin_pairs = np.stack(_polygon_pairs(coin.starts), axis=1)
+    graph = SimpleGraph(num_arcs, np.concatenate((coin_pairs, shift_pairs)))
+    return TessellatedGraph(graph, (coin, shift)), tuple(zip(tails.tolist(), heads.tolist()))
 
 
 def _significant_lines(text: str):
@@ -486,6 +629,5 @@ def write_cover(tg: TessellatedGraph) -> str:
 def write_graph(g: SimpleGraph) -> str:
     """Serialize a graph in the edge-list format with edges sorted."""
     lines = [f"{g.num_vertices} {g.num_edges}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"{u} {v}")
+    lines.extend(f"{u} {v}" for u, v in g.edge_array.tolist())
     return "\n".join(lines) + "\n"

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .evolve import WalkState, _apply_cover, _flatten, renormalize_if_drifting, step
-from .graph import Polygon, Tessellation, TessellatedGraph
+from .graph import Polygon, Tessellation, TessellatedGraph, _sorted_distinct
 
 KINDS = ("none", "break_vertices", "break_polygons")
 SPLIT_POLICIES = ("singletons", "one_vs_rest")
@@ -89,6 +89,10 @@ class BreakPlan:
     kind: str
     broken_vertex_mask: np.ndarray | None = None
     polygon_breaks: Mapping[int, _TessellationBreaks] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.broken_vertex_mask is not None and self.polygon_breaks:
+            raise ValueError("a plan breaks either vertices or polygons, not both")
 
     @property
     def is_empty(self) -> bool:
@@ -190,7 +194,7 @@ def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> Tessellate
     vertices disappear.  Removing nothing returns the cover unchanged, and
     the operation is exactly idempotent.
     """
-    idx = np.unique(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+    idx = _sorted_distinct(np.fromiter((int(v) for v in vertices), dtype=np.int64))
     if idx.size == 0:
         return tg
     if idx[0] < 0 or idx[-1] >= tg.num_vertices:

@@ -1,18 +1,27 @@
-"""Independent dense-matrix oracles for cross-checking the sparse engine.
+"""Independent reference routes for cross-checking the fast engine.
 
-Everything here builds explicit matrices the slow, obvious way: reflections
-as -I plus rank-one polygon projectors, and the coined walk on the torus as
-a flip-flop shift times a Grover coin.  The sparse engine must agree with
-these on small instances; keep the two routes independent.
+Everything here is built the slow, obvious way: reflections as dense -I
+plus rank-one polygon projectors, the coined walk on the torus as a
+flip-flop shift times a Grover coin, and the grid of cliques one ``Polygon``
+and one edge tuple at a time.  The fast routes must agree with these on
+small instances; keep the two routes independent.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .evolve import localized_clique_state, uniform_state
-from .graph import GridSpec, Tessellation, TessellatedGraph, make_grid_of_cliques
+from .graph import (
+    GridSpec,
+    Polygon,
+    SimpleGraph,
+    Tessellation,
+    TessellatedGraph,
+    make_grid_of_cliques,
+)
 from .search import partial_cover
 
 #: Refuse to build dense matrices beyond this dimension.
@@ -46,6 +55,37 @@ class DenseUnitary:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
+
+
+def reference_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
+    """The cover of :func:`sqwsim.graph.make_grid_of_cliques`, built one
+    validated ``Polygon`` per clique, in the same order, with the edge set
+    enumerated pair by pair from every polygon."""
+    n, q = spec.n, spec.q
+    cell = spec.cell_size
+
+    cell_polys = []
+    link_polys = []
+    for x in range(n):
+        for y in range(n):
+            base = (x * n + y) * cell
+            cell_polys.append(Polygon.uniform(range(base, base + cell)))
+    for x in range(n):
+        for y in range(n):
+            right = [spec.vertex_index(x, y, k) for k in range(q)]
+            right += [spec.vertex_index(x + 1, y, 2 * q + k) for k in range(q)]
+            up = [spec.vertex_index(x, y, q + k) for k in range(q)]
+            up += [spec.vertex_index(x, y + 1, 3 * q + k) for k in range(q)]
+            link_polys.append(Polygon.uniform(right))
+            link_polys.append(Polygon.uniform(up))
+
+    edges = frozenset(
+        pair
+        for poly in itertools.chain(cell_polys, link_polys)
+        for pair in itertools.combinations(sorted(poly.vertices.tolist()), 2)
+    )
+    tessellations = (Tessellation(tuple(cell_polys)), Tessellation(tuple(link_polys)))
+    return TessellatedGraph(SimpleGraph(spec.num_vertices, edges), tessellations)
 
 
 def _dense_reflection(tess: Tessellation, num_vertices: int) -> np.ndarray:

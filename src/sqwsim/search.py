@@ -84,18 +84,17 @@ def _grid_spec_of(tg: TessellatedGraph) -> GridSpec:
     """Recover the GridSpec of a pristine grid-of-cliques cover, verifying layout."""
     if tg.num_tessellations != 2:
         raise ValueError("expected the two-tessellation grid cover")
-    cells = tg.tessellations[0].polygons
-    n = math.isqrt(len(cells))
-    if n * n != len(cells) or n < 2:
+    cells = tg.tessellations[0]
+    n = math.isqrt(cells.num_polygons)
+    if n * n != cells.num_polygons or n < 2:
         raise ValueError("tessellation 0 is not an n*n family of cell cliques")
-    size = cells[0].size
-    if size % 4 != 0:
-        raise ValueError("cell cliques must have 4q vertices")
-    spec = GridSpec(n, size // 4)
+    sizes = cells.sizes
+    if sizes[0] % 4 != 0 or np.any(sizes != sizes[0]):
+        raise ValueError("cell cliques must all have 4q vertices")
+    spec = GridSpec(n, int(sizes[0]) // 4)
     if spec.num_vertices != tg.num_vertices:
         raise ValueError("vertex count does not match the grid layout")
-    flat = np.concatenate([p.vertices for p in cells])
-    if not np.array_equal(flat, np.arange(tg.num_vertices)):
+    if not np.array_equal(cells.vertices, np.arange(tg.num_vertices)):
         raise ValueError("cell cliques are not laid out in grid order")
     return spec
 
@@ -110,9 +109,15 @@ def partial_cover(tg: TessellatedGraph, marked: tuple[int, int]) -> TessellatedG
     x, y = marked
     if not (0 <= x < spec.n and 0 <= y < spec.n):
         raise ValueError(f"marked cell {marked} outside the {spec.n}x{spec.n} grid")
-    j = x * spec.n + y
-    polys = tg.tessellations[0].polygons
-    reduced = Tessellation(polys[:j] + polys[j + 1 :], covers_all_vertices=False)
+    cells = tg.tessellations[0]
+    marked_entries = spec.cell_slice(x, y)
+    # Every cell has one size, so the first P boundaries bound the P - 1 cells left.
+    reduced = Tessellation.from_arrays(
+        np.delete(cells.vertices, marked_entries),
+        cells.starts[:-1],
+        np.delete(cells.amplitudes, marked_entries),
+        covers_all_vertices=False,
+    )
     return TessellatedGraph(tg.graph, (reduced,) + tg.tessellations[1:], pristine=False)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_state
 from sqwsim.analysis import (
     AggregateSeries,
     PositionDistribution,
@@ -47,6 +48,16 @@ class TestPositionDistribution:
         spec = GridSpec(4, 2)
         dist = position_distribution(uniform_state(spec.num_vertices), spec)
         np.testing.assert_allclose(dist.probabilities, 1 / 16)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_matches_per_cell_row_sums(self, q):
+        spec = GridSpec(5, q)
+        amps = random_state(np.random.default_rng(q), spec.num_vertices)
+        want = (amps.real**2 + amps.imag**2).reshape(5, 5, 4 * q).sum(axis=2)
+        got = position_distribution(WalkState(amps), spec).probabilities
+        if q == 1:
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
     def test_sums_cell_slots(self):
         spec = GridSpec(2, 1)

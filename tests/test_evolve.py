@@ -123,6 +123,24 @@ class TestCompiledLayout:
         tess = Tessellation((Polygon.uniform([0, 1, 2]), Polygon.uniform([3])))
         assert _flatten(tess).shape == (4,)
 
+    def test_scratch_reuse_leaves_returned_states_alone(self):
+        # every reflection reuses its tessellation's scratch arrays, so no
+        # state handed out may share memory with them
+        tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
+        rng = np.random.default_rng(8)
+        states = [WalkState(random_state(rng, tg.num_vertices))]
+        for _ in range(3):
+            states.append(step(tg, states[-1]))
+        kept = [s.amplitudes.copy() for s in states]
+        for _ in range(3):
+            step(tg, WalkState(random_state(rng, tg.num_vertices)))
+        for state, copy in zip(states, kept):
+            assert state.amplitudes.tobytes() == copy.tobytes()
+        for tess in tg.tessellations:
+            flat = _flatten(tess)
+            scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
+            assert not any(np.shares_memory(a, s.amplitudes) for a in scratch for s in states)
+
 
 class TestStep:
     def test_uniform_is_fixed_on_grid(self):

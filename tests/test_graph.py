@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from conftest import random_cover
 from sqwsim.graph import (
+    CoverReport,
     GridSpec,
     ParseError,
     Polygon,
@@ -58,6 +61,54 @@ class TestTessellation:
         tess = Tessellation((Polygon.uniform([2, 0]), Polygon.uniform([1])))
         assert sorted(tess.covered_vertices().tolist()) == [0, 1, 2]
 
+    def test_arrays_follow_polygon_order(self):
+        polys = (Polygon.uniform([2, 0]), Polygon(np.array([1, 4, 3]), np.array([0.6, 0.0, 0.8j])))
+        tess = Tessellation(polys)
+        assert tess.vertices.tolist() == [2, 0, 1, 4, 3]
+        assert tess.starts.tolist() == [0, 2, 5]
+        assert tess.sizes.tolist() == [2, 3]
+        assert tess.num_polygons == 2
+        assert tess.polygons is tess.polygons
+        assert all(a is b for a, b in zip(tess.polygons, polys))
+
+    def test_from_arrays_builds_polygons_on_read(self):
+        tess = Tessellation.from_arrays(
+            np.array([5, 1, 2, 0]), np.array([0, 1, 4]), np.array([1.0, 0.6, 0.0, 0.8j])
+        )
+        polys = tess.polygons
+        assert [p.vertices.tolist() for p in polys] == [[5], [1, 2, 0]]
+        assert polys[1].amplitudes.tolist() == [0.6, 0.0, 0.8j]
+        assert tess.polygons is polys
+        with pytest.raises(ValueError):
+            polys[1].vertices[0] = 7
+        with pytest.raises(ValueError):
+            tess.amplitudes[0] = 0.0
+
+    def test_empty(self):
+        for tess in (Tessellation(()), Tessellation.from_arrays([], [0], [])):
+            assert tess.num_polygons == 0
+            assert tess.polygons == ()
+            assert tess.vertices.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "verts,starts,amps,message",
+        [
+            ([0, 1], [0, 2], [1.0, 1.0], "norm"),
+            ([0, 1], [0, 2], [np.nan, 1.0], "norm"),
+            ([0, 1, 2], [0, 1, 3], [1.0, 0.6, 0.0], "norm"),
+            ([0, -1], [0, 2], [0.6, 0.8], "negative"),
+            ([0, 0], [0, 2], [0.6, 0.8], "duplicate"),
+            ([0, 1, 1], [0, 2, 3], [0.6, 0.8, 1.0], "overlap"),
+            ([0, 1], [0, 0, 2], [0.6, 0.8], "at least one vertex"),
+            ([0, 1], [0, 1], [0.6, 0.8], "starts"),
+            ([0, 1], [1, 2], [0.6, 0.8], "starts"),
+            ([0, 1], [0, 2], [1.0], "parallel"),
+        ],
+    )
+    def test_from_arrays_checks(self, verts, starts, amps, message):
+        with pytest.raises(ValueError, match=message):
+            Tessellation.from_arrays(np.array(verts), np.array(starts), np.array(amps))
+
 
 class TestSimpleGraph:
     def test_normalizes_edges(self):
@@ -76,6 +127,37 @@ class TestSimpleGraph:
     def test_degree_sequence(self):
         g = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
         assert g.degree_sequence().tolist() == [1, 2, 1]
+
+    def test_array_input_is_normalized_and_sorted(self):
+        g = SimpleGraph(5, np.array([[3, 1], [0, 2], [1, 3], [4, 0]]))
+        assert g.edge_array.tolist() == [[0, 2], [0, 4], [1, 3]]
+        assert g.edges == frozenset({(0, 2), (0, 4), (1, 3)})
+        assert g.num_edges == 3
+        assert g.has_edge(3, 1) and g.has_edge(4, 0)
+        assert not g.has_edge(0, 1) and not g.has_edge(0, 9) and not g.has_edge(-1, 0)
+        assert g.neighbors() == [[2, 4], [3], [0], [1], [0]]
+        with pytest.raises(ValueError):
+            g.edge_array[0, 0] = 1
+
+    def test_array_rejects_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            SimpleGraph(2, np.array([[0, 1], [1, 1]]))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 1), (2, 2 ** 40)])
+    def test_array_rejects_out_of_range(self, pair):
+        with pytest.raises(ValueError, match=rf"edge \({pair[0]}, {pair[1]}\) out of range"):
+            SimpleGraph(3, np.array([[0, 1], pair]))
+
+    def test_array_rejects_bad_shape(self):
+        with pytest.raises(ValueError, match="pairs"):
+            SimpleGraph(3, np.array([[0, 1, 2]]))
+
+    def test_no_edges(self):
+        for g in (SimpleGraph(0), SimpleGraph(3, frozenset()), SimpleGraph(3, np.empty((0, 2), int))):
+            assert g.edges == frozenset()
+            assert g.edge_array.shape == (0, 2)
+            assert g.neighbors() == [[]] * g.num_vertices
+            assert g.degree_sequence().tolist() == [0] * g.num_vertices
 
 
 class TestGridSpec:
@@ -187,6 +269,87 @@ class TestValidateCover:
         extra = Tessellation((Polygon.uniform([0, 1, 2]),))
         report = validate_cover(TessellatedGraph(g, (tess, extra)))
         assert (0, 2) in report.uncovered_vertices
+
+
+def _pairwise_report(tg: TessellatedGraph) -> CoverReport:
+    """validate_cover written as a loop over polygons and their vertex pairs."""
+    edges = tg.graph.edges
+    bad, uncovered, duplicated, covered = [], [], [], set()
+    for t_idx, tess in enumerate(tg.tessellations):
+        counts = [0] * tg.num_vertices
+        for p_idx, poly in enumerate(tess.polygons):
+            pairs = set(itertools.combinations(sorted(poly.vertices.tolist()), 2))
+            for v in poly.vertices.tolist():
+                counts[v] += 1
+            if not pairs <= edges:
+                bad.append((t_idx, p_idx))
+            covered |= pairs
+        uncovered += [(t_idx, v) for v, c in enumerate(counts) if c == 0]
+        duplicated += [(t_idx, v) for v, c in enumerate(counts) if c > 1]
+    missed = tuple(sorted(edges - covered))
+    return CoverReport(
+        clique_ok=not bad,
+        bad_polygons=tuple(bad),
+        partition_ok=not (uncovered or duplicated),
+        uncovered_vertices=tuple(uncovered),
+        duplicated_vertices=tuple(duplicated),
+        edge_cover_ok=not missed,
+        uncovered_edges=missed,
+        tessellation_count=tg.num_tessellations,
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_validate_cover_matches_pairwise_loop(seed):
+    # random ragged covers whose graph misses some polygon edges, holds
+    # edges no polygon covers, and whose last tessellation lost a polygon
+    rng = np.random.default_rng(seed)
+    num = int(rng.integers(2, 16))
+    cover = random_cover(rng, num, int(rng.integers(1, 4)), max_polygon=5)
+    pairs = sorted(cover.graph.edges)
+    kept = [pair for pair in pairs if rng.random() < 0.8]
+    extra = [(int(a), int(b)) for a, b in rng.integers(0, num, (4, 2)) if a != b]
+    tess = list(cover.tessellations)
+    polys = tess[-1].polygons
+    drop = int(rng.integers(0, len(polys)))
+    tess[-1] = Tessellation(polys[:drop] + polys[drop + 1 :], covers_all_vertices=False)
+    tg = TessellatedGraph(SimpleGraph(num, kept + extra), tuple(tess), pristine=False)
+    assert validate_cover(tg) == _pairwise_report(tg)
+
+
+class TestNoPolygonObjectsOnTheWalkPath:
+    """The grid, the partial cover, plan sampling and the walk step run on
+    flat arrays alone; ``Polygon`` objects are made only when read."""
+
+    @pytest.fixture
+    def refuse_polygons(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Polygon was constructed")
+
+        # Polygon.__init__ and Polygon._unchecked are the only ways the package makes one.
+        monkeypatch.setattr(Polygon, "__init__", refuse)
+        monkeypatch.setattr(Polygon, "_unchecked", refuse)
+
+    @pytest.mark.parametrize("kind", ["break_vertices", "break_polygons"])
+    def test_build_cut_sample_and_step(self, refuse_polygons, kind):
+        from sqwsim.evolve import step, uniform_state
+        from sqwsim.noise import NoiseSpec, plan_step, sample_plan
+        from sqwsim.search import partial_cover
+
+        spec = GridSpec(4, 2)
+        tg = make_grid_of_cliques(spec)
+        state = uniform_state(spec.num_vertices)
+        noise = NoiseSpec(kind=kind, p=0.3, split_policy="one_vs_rest")
+        for cover in (tg, partial_cover(tg, (1, 2))):
+            state = step(cover, state)
+            state = plan_step(sample_plan(cover, noise, np.random.default_rng(0)), state)
+        assert validate_cover(tg).ok
+
+    def test_refusal_fires(self, refuse_polygons):
+        with pytest.raises(AssertionError):
+            Polygon.uniform([0])
+        with pytest.raises(AssertionError):
+            make_grid_of_cliques(GridSpec(2, 1)).tessellations[0].polygons
 
 
 class TestCoinedConversion:

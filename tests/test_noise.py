@@ -15,6 +15,7 @@ from sqwsim.noise import (
     plan_step,
     remove_vertices,
     sample_plan,
+    _TessellationBreaks,
 )
 
 
@@ -292,6 +293,16 @@ class TestPerturbedStep:
             plan_step(plan, state)
         with pytest.raises(ValueError, match="zero amplitude"):
             step(apply_plan(tg, plan), state)
+
+    def test_mixed_plan_rejected(self):
+        # apply_plan would drop only the vertex, plan_step would let the
+        # polygon break replace the vertex mask on tessellation 0
+        tg = make_grid_of_cliques(GridSpec(2, 1))
+        mask = np.zeros(tg.num_vertices, dtype=bool)
+        mask[0] = True
+        breaks = {0: _TessellationBreaks(broken=np.array([1]), lone_slot=None)}
+        with pytest.raises(ValueError, match="not both"):
+            BreakPlan(tg, "break_vertices", broken_vertex_mask=mask, polygon_breaks=breaks)
 
     def test_plan_for_wrong_cover_rejected(self):
         tg1 = make_grid_of_cliques(GridSpec(2, 1))

@@ -1,9 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_cover, random_state
 from sqwsim.evolve import WalkState, step
-from sqwsim.graph import GridSpec, Polygon, SimpleGraph, Tessellation, TessellatedGraph, make_grid_of_cliques
+from sqwsim.graph import (
+    GridSpec,
+    Polygon,
+    SimpleGraph,
+    Tessellation,
+    TessellatedGraph,
+    make_grid_of_cliques,
+    validate_cover,
+)
 from sqwsim.noise import NoiseSpec, apply_plan, remove_vertices, sample_plan
 from sqwsim.oracle import (
     MAX_DENSE_DIM,
@@ -12,6 +22,7 @@ from sqwsim.oracle import (
     coined_basis_map,
     dense_step_matrix,
     fcqw_grid_step,
+    reference_grid_of_cliques,
     shift_matrix,
     verify_equivalence,
 )
@@ -26,6 +37,44 @@ class TestDenseUnitary:
     def test_rejects_oversize(self):
         with pytest.raises(ValueError, match="exceeds"):
             DenseUnitary(np.eye(MAX_DENSE_DIM + 1))
+
+
+class TestReferenceGrid:
+    """The array-built grid against the polygon-by-polygon reference."""
+
+    @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])
+    def test_same_cover(self, n, q):
+        spec = GridSpec(n, q)
+        fast, ref = make_grid_of_cliques(spec), reference_grid_of_cliques(spec)
+        assert fast.graph.edges == ref.graph.edges
+        assert fast.graph.edge_array.tolist() == [list(pair) for pair in sorted(ref.graph.edges)]
+        for got, want in zip(fast.tessellations, ref.tessellations):
+            assert got.vertices.tolist() == want.vertices.tolist()
+            assert got.starts.tolist() == want.starts.tolist()
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert got.covers_all_vertices and want.covers_all_vertices
+            for a, b in zip(got.polygons, want.polygons, strict=True):
+                assert a.vertices.tolist() == b.vertices.tolist()
+                assert a.amplitudes.tobytes() == b.amplitudes.tobytes()
+
+    @pytest.mark.parametrize("n,q", [(2, 1), (3, 2), (4, 3)])
+    def test_same_validation_reports(self, n, q):
+        spec = GridSpec(n, q)
+        fast, ref = make_grid_of_cliques(spec), reference_grid_of_cliques(spec)
+        assert validate_cover(fast) == validate_cover(ref)
+        assert validate_cover(fast).ok
+        marked = (n - 1, 1)
+        j = marked[0] * n + marked[1]
+        cells = ref.tessellations[0].polygons
+        ref_cut = TessellatedGraph(
+            ref.graph,
+            (Tessellation(cells[:j] + cells[j + 1 :], covers_all_vertices=False), ref.tessellations[1]),
+            pristine=False,
+        )
+        report = validate_cover(partial_cover(fast, marked))
+        assert report == validate_cover(ref_cut)
+        assert len(report.uncovered_vertices) == 4 * q
+        assert len(report.uncovered_edges) == math.comb(4 * q, 2) - 4 * math.comb(q, 2)
 
 
 class TestDenseStepMatrix:
