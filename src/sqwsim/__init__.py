@@ -45,21 +45,16 @@ from .graph import (
     write_cover,
     write_graph,
 )
-from .noise import (
-    BreakPlan,
-    NoiseSpec,
-    apply_plan,
-    break_polygon,
-    perturbed_step,
-    remove_vertices,
-    sample_plan,
-)
+from .noise import BreakPlan, NoiseSpec, perturbed_step, sample_plan
 from .oracle import (
     CoinedBasisMap,
     DenseUnitary,
+    apply_plan,
+    break_polygon,
     coined_basis_map,
     dense_step_matrix,
     fcqw_grid_step,
+    remove_vertices,
     verify_equivalence,
 )
 from .rng import child_seed, run_rng

@@ -39,11 +39,9 @@ class ExperimentManifest:
     params: tuple[tuple[str, str], ...]
     master_seed: int
     run_seed_lines: tuple[str, ...]
-    version: str = ""
 
     def lines(self) -> list[str]:
-        version = self.version or __version__
-        out = [f"# sqwsim {version}", f"# command: {self.command}"]
+        out = [f"# sqwsim {__version__}", f"# command: {self.command}"]
         out.extend(f"# {key}: {value}" for key, value in self.params)
         out.append(f"# master_seed: {self.master_seed}")
         out.extend(self.run_seed_lines)
@@ -66,21 +64,13 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
         raise ValueError(f"{what} must be two integers, got {text!r}") from None
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
+def _parse_list(text: str, what: str, convert: type[int] | type[float]) -> list:
+    """Comma-separated values, each read by ``convert`` (int or float)."""
     try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [convert(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{what} must not be empty")
-    return values
-
-
-def _parse_float_list(text: str, what: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        noun = "integers" if convert is int else "numbers"
+        raise ValueError(f"{what} must be comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ValueError(f"{what} must not be empty")
     return values
@@ -89,7 +79,7 @@ def _parse_float_list(text: str, what: str) -> list[float]:
 def _parse_scope(text: str) -> tuple[int, ...] | None:
     if text == "all":
         return None
-    return tuple(_parse_int_list(text, "--scope"))
+    return tuple(_parse_list(text, "--scope", int))
 
 
 def _resolve_seed(args) -> int:
@@ -247,9 +237,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    n_list = _parse_int_list(args.n_list, "--n-list")
-    q_list = _parse_int_list(args.q_list, "--q-list")
-    p_list = _parse_float_list(args.p_list, "--p-list")
+    n_list = _parse_list(args.n_list, "--n-list", int)
+    q_list = _parse_list(args.q_list, "--q-list", int)
+    p_list = _parse_list(args.p_list, "--p-list", float)
     seed = _resolve_seed(args)
     workers = _resolve_workers(args)
     if args.steps_factor <= 0:

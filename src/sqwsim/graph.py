@@ -181,17 +181,15 @@ class Tessellation:
     ``amplitudes``.  Build a tessellation from ``Polygon`` objects, or from
     the three arrays with :meth:`from_arrays`; either way the arrays are
     checked as a whole, and ``polygons`` gives the ``Polygon`` sequence,
-    built on first read.  ``covers_all_vertices`` records whether the
-    polygons partition the whole vertex set of the ambient graph; perturbed
-    tessellations may leave vertices uncovered.
+    built on first read.  A tessellation may leave vertices of the ambient
+    graph uncovered; its reflection acts on them as -I.
     """
 
     vertices: np.ndarray
     starts: np.ndarray
     amplitudes: np.ndarray
-    covers_all_vertices: bool
 
-    def __init__(self, polygons: Iterable[Polygon] = (), covers_all_vertices: bool = True):
+    def __init__(self, polygons: Iterable[Polygon] = ()):
         polys = tuple(polygons)
         starts = np.concatenate(([0], np.cumsum([p.size for p in polys], dtype=np.int64)))
         if polys:
@@ -200,23 +198,17 @@ class Tessellation:
         else:
             verts = np.empty(0, dtype=np.int64)
             amps = np.empty(0, dtype=np.complex128)
-        self._store(verts, starts, amps, covers_all_vertices)
+        self._store(verts, starts, amps)
         self.__dict__["polygons"] = polys
 
     @classmethod
-    def from_arrays(
-        cls,
-        vertices: np.ndarray,
-        starts: np.ndarray,
-        amplitudes: np.ndarray,
-        covers_all_vertices: bool = True,
-    ) -> "Tessellation":
+    def from_arrays(cls, vertices: np.ndarray, starts: np.ndarray, amplitudes: np.ndarray) -> "Tessellation":
         """A tessellation over flat arrays laid out as the class docstring says."""
         tess = cls.__new__(cls)
-        tess._store(vertices, starts, amplitudes, covers_all_vertices)
+        tess._store(vertices, starts, amplitudes)
         return tess
 
-    def _store(self, vertices, starts, amplitudes, covers_all_vertices: bool) -> None:
+    def _store(self, vertices, starts, amplitudes) -> None:
         verts = np.ascontiguousarray(vertices, dtype=np.int64)
         starts = np.ascontiguousarray(starts, dtype=np.int64)
         amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
@@ -246,7 +238,6 @@ class Tessellation:
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "covers_all_vertices", bool(covers_all_vertices))
 
     @functools.cached_property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -265,21 +256,13 @@ class Tessellation:
     def sizes(self) -> np.ndarray:
         return np.diff(self.starts)
 
-    def covered_vertices(self) -> np.ndarray:
-        return self.vertices
-
 
 @dataclass(frozen=True, eq=False)
 class TessellatedGraph:
-    """A graph together with an ordered list of tessellations.
-
-    ``pristine`` marks covers straight from a generator or file, as opposed
-    to covers perturbed by noise operations.
-    """
+    """A graph together with an ordered list of tessellations."""
 
     graph: SimpleGraph
     tessellations: tuple[Tessellation, ...]
-    pristine: bool = True
 
     def __post_init__(self):
         tess = tuple(self.tessellations)
@@ -566,7 +549,7 @@ def read_graph(text: str) -> SimpleGraph:
 def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
     """Parse a cover file: each line "t v1 v2 ... vm" adds a uniform polygon
     to tessellation t.  Tessellation indices must be contiguous from 0."""
-    by_tess: dict[int, list[Polygon]] = {}
+    by_tess: dict[int, tuple[list[int], list[int]]] = {}
     first_line_of: dict[int, int] = {}
     for line_no, line in _significant_lines(text):
         parts = line.split()
@@ -584,7 +567,9 @@ def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
         for v in verts:
             if not 0 <= v < g.num_vertices:
                 raise ParseError(line_no, f"vertex {v} out of range for {g.num_vertices} vertices")
-        by_tess.setdefault(t_idx, []).append(Polygon.uniform(verts))
+        covered, sizes = by_tess.setdefault(t_idx, ([], []))
+        covered.extend(verts)
+        sizes.append(len(verts))
         first_line_of.setdefault(t_idx, line_no)
 
     if not by_tess:
@@ -598,11 +583,12 @@ def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
 
     tessellations = []
     for t_idx in range(top + 1):
-        polys = tuple(by_tess[t_idx])
-        covered = sum(p.size for p in polys)
-        tessellations.append(Tessellation(polys, covers_all_vertices=covered == g.num_vertices))
-    pristine = all(t.covers_all_vertices for t in tessellations)
-    return TessellatedGraph(g, tuple(tessellations), pristine=pristine)
+        covered, sizes = by_tess[t_idx]
+        sizes = np.array(sizes, dtype=np.int64)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        amplitudes = np.repeat(1.0 / np.sqrt(sizes), sizes)
+        tessellations.append(Tessellation.from_arrays(covered, starts, amplitudes))
+    return TessellatedGraph(g, tuple(tessellations))
 
 
 def write_cover(tg: TessellatedGraph) -> str:

@@ -11,20 +11,22 @@ Two break models, both keeping every step exactly unitary:
   renormalized and the dropped vertex, now uncovered, just picks up the -I
   term of each reflection.
 
-Perturbations are resampled from the pristine cover at every step
+Perturbations are resampled from the unperturbed cover at every step
 (:func:`perturbed_step`), which is how the trajectories of both the spreading
-and the search experiments are walked; plans can also be materialized into
-explicit perturbed covers (:func:`apply_plan`) for cross-checks.
+and the search experiments are walked.  A sampled plan acts through
+per-entry masks on the unperturbed cover's compiled layout
+(:func:`plan_step`); :func:`sqwsim.oracle.apply_plan` materializes the same
+plan as an explicit perturbed cover for cross-checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .evolve import WalkState, _apply_cover, _flatten, renormalize_if_drifting, step
-from .graph import Polygon, Tessellation, TessellatedGraph, _sorted_distinct
+from .graph import Polygon, TessellatedGraph
 
 KINDS = ("none", "break_vertices", "break_polygons")
 SPLIT_POLICIES = ("singletons", "one_vs_rest")
@@ -86,7 +88,6 @@ class BreakPlan:
     """
 
     cover: TessellatedGraph
-    kind: str
     broken_vertex_mask: np.ndarray | None = None
     polygon_breaks: Mapping[int, _TessellationBreaks] = field(default_factory=dict)
 
@@ -131,13 +132,13 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
     uniform block per tessellation in ascending index order followed by the
     lone-slot draws), so equal seeds give equal plans."""
     if spec.is_off:
-        return BreakPlan(tg, "none")
+        return BreakPlan(tg)
 
     if spec.kind == "break_vertices":
         mask = rng.random(tg.num_vertices) < spec.p
         if not mask.any():
-            return BreakPlan(tg, spec.kind)
-        return BreakPlan(tg, spec.kind, broken_vertex_mask=mask)
+            return BreakPlan(tg)
+        return BreakPlan(tg, broken_vertex_mask=mask)
 
     scope = spec.scope if spec.scope is not None else tuple(range(tg.num_tessellations))
     if scope and scope[-1] >= tg.num_tessellations:
@@ -153,118 +154,19 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
         if spec.split_policy == "one_vs_rest":
             lone = rng.integers(0, flat.sizes[broken])
         breaks[t_idx] = _TessellationBreaks(broken=broken, lone_slot=lone)
-    return BreakPlan(tg, spec.kind, polygon_breaks=breaks)
-
-
-def break_polygon(poly: Polygon, partition: Sequence[Sequence[int]]) -> tuple[Polygon, ...]:
-    """Split a polygon along a vertex partition, renormalizing each block.
-
-    A block's new amplitudes are the old ones divided by the block norm
-    beta = sqrt(sum of |amplitude|^2 over the block); beta = 0 is an error.
-    """
-    pos_of = {int(v): i for i, v in enumerate(poly.vertices)}
-    seen: set[int] = set()
-    out = []
-    for block in partition:
-        idx = []
-        for v in block:
-            v = int(v)
-            if v not in pos_of:
-                raise ValueError(f"vertex {v} is not in the polygon")
-            if v in seen:
-                raise ValueError(f"vertex {v} appears in two blocks")
-            seen.add(v)
-            idx.append(pos_of[v])
-        if not idx:
-            raise ValueError("empty block in partition")
-        amps = poly.amplitudes[idx]
-        beta = float(np.linalg.norm(amps))
-        if beta == 0.0:
-            raise ValueError("block carries zero amplitude and cannot be renormalized")
-        out.append(Polygon(poly.vertices[idx], amps / beta))
-    if len(seen) != poly.size:
-        raise ValueError("partition does not cover the whole polygon")
-    return tuple(out)
-
-
-def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> TessellatedGraph:
-    """Drop the given vertices from every polygon of every tessellation.
-
-    Surviving amplitude blocks are renormalized; polygons losing all their
-    vertices disappear.  Removing nothing returns the cover unchanged, and
-    the operation is exactly idempotent.
-    """
-    idx = _sorted_distinct(np.fromiter((int(v) for v in vertices), dtype=np.int64))
-    if idx.size == 0:
-        return tg
-    if idx[0] < 0 or idx[-1] >= tg.num_vertices:
-        raise ValueError("vertex index out of range")
-    mask = np.zeros(tg.num_vertices, dtype=bool)
-    mask[idx] = True
-
-    new_tess: list[Tessellation] = []
-    changed_any = False
-    for tess in tg.tessellations:
-        new_polys = []
-        changed = False
-        for poly in tess.polygons:
-            hit = mask[poly.vertices]
-            if not hit.any():
-                new_polys.append(poly)
-                continue
-            changed = True
-            keep = ~hit
-            if not keep.any():
-                continue
-            amps = poly.amplitudes[keep]
-            beta = float(np.linalg.norm(amps))
-            if beta == 0.0:
-                raise ValueError("surviving block carries zero amplitude")
-            new_polys.append(Polygon(poly.vertices[keep], amps / beta))
-        if changed:
-            covered = sum(p.size for p in new_polys)
-            new_tess.append(Tessellation(tuple(new_polys), covers_all_vertices=covered == tg.num_vertices))
-            changed_any = True
-        else:
-            new_tess.append(tess)
-    if not changed_any:
-        return tg
-    return TessellatedGraph(tg.graph, tuple(new_tess), pristine=False)
-
-
-def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
-    """Materialize a sampled plan as an explicit perturbed cover."""
-    if plan.cover is not tg:
-        raise ValueError("plan was sampled from a different cover")
-    if plan.is_empty:
-        return tg
-    if plan.broken_vertex_mask is not None:
-        return remove_vertices(tg, plan.broken_vertices)
-
-    new_tess = list(tg.tessellations)
-    for t_idx, tb in sorted(plan.polygon_breaks.items()):
-        tess = tg.tessellations[t_idx]
-        slots = {int(j): (None if tb.lone_slot is None else int(tb.lone_slot[pos]))
-                 for pos, j in enumerate(tb.broken)}
-        new_polys: list[Polygon] = []
-        for j, poly in enumerate(tess.polygons):
-            if j in slots:
-                new_polys.extend(break_polygon(poly, _partition_blocks(poly, slots[j])))
-            else:
-                new_polys.append(poly)
-        new_tess[t_idx] = Tessellation(tuple(new_polys), covers_all_vertices=tess.covers_all_vertices)
-    return TessellatedGraph(tg.graph, tuple(new_tess), pristine=False)
+    return BreakPlan(tg, polygon_breaks=breaks)
 
 
 def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
     """Apply one walk step under an already-sampled plan.
 
-    Equivalent to ``step(apply_plan(cover, plan), state)`` up to floating
-    round-off, but works directly on the pristine cover's compiled layout
-    with per-entry masks, so nothing is rebuilt per step: a broken vertex
-    drops out of its polygon in every tessellation, and the split-off
-    entries of a broken polygon drop out and reflect as singletons.  An
-    empty plan takes exactly the clean path of :func:`sqwsim.evolve.step`.
+    Equivalent to ``step(sqwsim.oracle.apply_plan(cover, plan), state)`` up
+    to floating round-off, but works directly on the unperturbed cover's
+    compiled layout with per-entry masks, so nothing is rebuilt per step: a
+    broken vertex drops out of its polygon in every tessellation, and the
+    split-off entries of a broken polygon drop out and reflect as
+    singletons.  An empty plan takes exactly the clean path of
+    :func:`sqwsim.evolve.step`.
     """
     tg = plan.cover
     vmask = plan.broken_vertex_mask
@@ -286,7 +188,7 @@ def perturbed_step(
     """Sample a fresh perturbation of the cover and apply one step under it.
 
     With noise off (or an empty draw) this is bit-for-bit identical to
-    :func:`sqwsim.evolve.step` on the pristine cover.
+    :func:`sqwsim.evolve.step` on the unperturbed cover.
     """
     plan = sample_plan(tg, spec, rng)
     return plan_step(plan, state)

@@ -2,14 +2,17 @@
 
 Everything here is built the slow, obvious way: reflections as dense -I
 plus rank-one polygon projectors, the coined walk on the torus as a
-flip-flop shift times a Grover coin, and the grid of cliques one ``Polygon``
-and one edge tuple at a time.  The fast routes must agree with these on
-small instances; keep the two routes independent.
+flip-flop shift times a Grover coin, the grid of cliques one ``Polygon``
+and one edge tuple at a time, and each sampled noise plan as an explicit
+perturbed cover of renormalized ``Polygon`` blocks (:func:`apply_plan`),
+against which :func:`sqwsim.noise.plan_step` is checked.  The fast routes
+must agree with these on small instances; keep the two routes independent.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,8 +23,10 @@ from .graph import (
     SimpleGraph,
     Tessellation,
     TessellatedGraph,
+    _sorted_distinct,
     make_grid_of_cliques,
 )
+from .noise import BreakPlan, _partition_blocks
 from .search import partial_cover
 
 #: Refuse to build dense matrices beyond this dimension.
@@ -86,6 +91,105 @@ def reference_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     )
     tessellations = (Tessellation(tuple(cell_polys)), Tessellation(tuple(link_polys)))
     return TessellatedGraph(SimpleGraph(spec.num_vertices, edges), tessellations)
+
+
+def break_polygon(poly: Polygon, partition: Sequence[Sequence[int]]) -> tuple[Polygon, ...]:
+    """Split a polygon along a vertex partition, renormalizing each block.
+
+    A block's new amplitudes are the old ones divided by the block norm
+    beta = sqrt(sum of |amplitude|^2 over the block); beta = 0 is an error.
+    """
+    pos_of = {int(v): i for i, v in enumerate(poly.vertices)}
+    seen: set[int] = set()
+    out = []
+    for block in partition:
+        idx = []
+        for v in block:
+            v = int(v)
+            if v not in pos_of:
+                raise ValueError(f"vertex {v} is not in the polygon")
+            if v in seen:
+                raise ValueError(f"vertex {v} appears in two blocks")
+            seen.add(v)
+            idx.append(pos_of[v])
+        if not idx:
+            raise ValueError("empty block in partition")
+        amps = poly.amplitudes[idx]
+        beta = float(np.linalg.norm(amps))
+        if beta == 0.0:
+            raise ValueError("block carries zero amplitude and cannot be renormalized")
+        out.append(Polygon(poly.vertices[idx], amps / beta))
+    if len(seen) != poly.size:
+        raise ValueError("partition does not cover the whole polygon")
+    return tuple(out)
+
+
+def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> TessellatedGraph:
+    """Drop the given vertices from every polygon of every tessellation.
+
+    Surviving amplitude blocks are renormalized; polygons losing all their
+    vertices disappear.  Removing nothing returns the cover unchanged, and
+    the operation is exactly idempotent.
+    """
+    idx = _sorted_distinct(np.fromiter((int(v) for v in vertices), dtype=np.int64))
+    if idx.size == 0:
+        return tg
+    if idx[0] < 0 or idx[-1] >= tg.num_vertices:
+        raise ValueError("vertex index out of range")
+    mask = np.zeros(tg.num_vertices, dtype=bool)
+    mask[idx] = True
+
+    new_tess: list[Tessellation] = []
+    changed_any = False
+    for tess in tg.tessellations:
+        new_polys = []
+        changed = False
+        for poly in tess.polygons:
+            hit = mask[poly.vertices]
+            if not hit.any():
+                new_polys.append(poly)
+                continue
+            changed = True
+            keep = ~hit
+            if not keep.any():
+                continue
+            amps = poly.amplitudes[keep]
+            beta = float(np.linalg.norm(amps))
+            if beta == 0.0:
+                raise ValueError("surviving block carries zero amplitude")
+            new_polys.append(Polygon(poly.vertices[keep], amps / beta))
+        if changed:
+            new_tess.append(Tessellation(tuple(new_polys)))
+            changed_any = True
+        else:
+            new_tess.append(tess)
+    if not changed_any:
+        return tg
+    return TessellatedGraph(tg.graph, tuple(new_tess))
+
+
+def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
+    """Materialize a sampled plan as an explicit perturbed cover."""
+    if plan.cover is not tg:
+        raise ValueError("plan was sampled from a different cover")
+    if plan.is_empty:
+        return tg
+    if plan.broken_vertex_mask is not None:
+        return remove_vertices(tg, plan.broken_vertices)
+
+    new_tess = list(tg.tessellations)
+    for t_idx, tb in sorted(plan.polygon_breaks.items()):
+        tess = tg.tessellations[t_idx]
+        slots = {int(j): (None if tb.lone_slot is None else int(tb.lone_slot[pos]))
+                 for pos, j in enumerate(tb.broken)}
+        new_polys: list[Polygon] = []
+        for j, poly in enumerate(tess.polygons):
+            if j in slots:
+                new_polys.extend(break_polygon(poly, _partition_blocks(poly, slots[j])))
+            else:
+                new_polys.append(poly)
+        new_tess[t_idx] = Tessellation(tuple(new_polys))
+    return TessellatedGraph(tg.graph, tuple(new_tess))
 
 
 def _dense_reflection(tess: Tessellation, num_vertices: int) -> np.ndarray:

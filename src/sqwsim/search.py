@@ -81,7 +81,7 @@ class RunSummary:
 
 
 def _grid_spec_of(tg: TessellatedGraph) -> GridSpec:
-    """Recover the GridSpec of a pristine grid-of-cliques cover, verifying layout."""
+    """Recover the GridSpec of an intact grid-of-cliques cover, verifying layout."""
     if tg.num_tessellations != 2:
         raise ValueError("expected the two-tessellation grid cover")
     cells = tg.tessellations[0]
@@ -116,9 +116,8 @@ def partial_cover(tg: TessellatedGraph, marked: tuple[int, int]) -> TessellatedG
         np.delete(cells.vertices, marked_entries),
         cells.starts[:-1],
         np.delete(cells.amplitudes, marked_entries),
-        covers_all_vertices=False,
     )
-    return TessellatedGraph(tg.graph, (reduced,) + tg.tessellations[1:], pristine=False)
+    return TessellatedGraph(tg.graph, (reduced,) + tg.tessellations[1:])
 
 
 def success_probability(state: WalkState, spec: GridSpec, marked: tuple[int, int]) -> float:

@@ -15,8 +15,8 @@ from sqwsim.analysis import aggregate, check_dihedral_symmetry, displacement_exp
 from sqwsim.cli import main
 from sqwsim.evolve import WalkState, apply_tessellation, step, uniform_state
 from sqwsim.graph import GridSpec, make_grid_of_cliques
-from sqwsim.noise import NoiseSpec, apply_plan, perturbed_step, plan_step, remove_vertices, sample_plan
-from sqwsim.oracle import dense_step_matrix, verify_equivalence
+from sqwsim.noise import NoiseSpec, perturbed_step, plan_step, sample_plan
+from sqwsim.oracle import apply_plan, dense_step_matrix, remove_vertices, verify_equivalence
 from sqwsim.search import SearchConfig, partial_cover, peak_metrics, run_search, success_probability
 
 

@@ -178,6 +178,18 @@ class TestSweepCommand:
         rc = main(["sweep", "--n-list", "4", "--p-list", "0,0.1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "n_list,p_list,message",
+        [
+            ("4,x", "0", "error: --n-list must be comma-separated integers, got '4,x'\n"),
+            ("4", "0,x", "error: --p-list must be comma-separated numbers, got '0,x'\n"),
+        ],
+    )
+    def test_bad_list_entry_exits_2(self, tmp_path, capsys, n_list, p_list, message):
+        rc = main(["sweep", "--n-list", n_list, "--p-list", p_list, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == message
+
 
 class TestParserErrors:
     def test_unknown_command_exits_2(self, capsys):

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from sqwsim.evolve import WalkState, step
 from sqwsim.graph import Polygon, SimpleGraph, Tessellation, TessellatedGraph
-from sqwsim.noise import SPLIT_POLICIES, NoiseSpec, apply_plan, plan_step, sample_plan
-from sqwsim.oracle import dense_step_matrix
+from sqwsim.noise import SPLIT_POLICIES, NoiseSpec, plan_step, sample_plan
+from sqwsim.oracle import apply_plan, dense_step_matrix
 
 #: Equal-size polygons over a random permutation of all vertices, over the
 #: vertices in order, over a random subset, over a leading run 0..E-1;
@@ -28,7 +28,7 @@ def _amplitudes(rng: np.random.Generator, size: int) -> np.ndarray:
 
 def _tessellation(rng: np.random.Generator, layout: str, num: int) -> Tessellation:
     if layout == "empty":
-        return Tessellation((), covers_all_vertices=False)
+        return Tessellation(())
     if layout == "ragged":
         covered = rng.permutation(num)[: int(rng.integers(1, num + 1))]
         sizes = [1]  # a singleton first, then larger polygons, so sizes differ
@@ -49,7 +49,7 @@ def _tessellation(rng: np.random.Generator, layout: str, num: int) -> Tessellati
         sizes = [size] * (count // size)
     bounds = np.cumsum([0] + sizes)
     polys = tuple(Polygon(covered[a:b], _amplitudes(rng, b - a)) for a, b in zip(bounds[:-1], bounds[1:]))
-    return Tessellation(polys, covers_all_vertices=covered.size == num)
+    return Tessellation(polys)
 
 
 @st.composite

@@ -59,7 +59,7 @@ class TestTessellation:
 
     def test_covered_vertices(self):
         tess = Tessellation((Polygon.uniform([2, 0]), Polygon.uniform([1])))
-        assert sorted(tess.covered_vertices().tolist()) == [0, 1, 2]
+        assert sorted(tess.vertices.tolist()) == [0, 1, 2]
 
     def test_arrays_follow_polygon_order(self):
         polys = (Polygon.uniform([2, 0]), Polygon(np.array([1, 4, 3]), np.array([0.6, 0.0, 0.8j])))
@@ -239,8 +239,8 @@ class TestGridOfCliques:
 class TestValidateCover:
     def test_missing_polygon_reported(self):
         tg = make_grid_of_cliques(GridSpec(2, 1))
-        reduced = Tessellation(tg.tessellations[0].polygons[1:], covers_all_vertices=False)
-        broken = TessellatedGraph(tg.graph, (reduced, tg.tessellations[1]), pristine=False)
+        reduced = Tessellation(tg.tessellations[0].polygons[1:])
+        broken = TessellatedGraph(tg.graph, (reduced, tg.tessellations[1]))
         report = validate_cover(broken)
         assert not report.ok
         assert not report.partition_ok
@@ -265,7 +265,7 @@ class TestValidateCover:
 
     def test_duplicated_vertex_reported(self):
         g = SimpleGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-        tess = Tessellation((Polygon.uniform([0, 1]),), covers_all_vertices=False)
+        tess = Tessellation((Polygon.uniform([0, 1]),))
         extra = Tessellation((Polygon.uniform([0, 1, 2]),))
         report = validate_cover(TessellatedGraph(g, (tess, extra)))
         assert (0, 2) in report.uncovered_vertices
@@ -312,14 +312,15 @@ def test_validate_cover_matches_pairwise_loop(seed):
     tess = list(cover.tessellations)
     polys = tess[-1].polygons
     drop = int(rng.integers(0, len(polys)))
-    tess[-1] = Tessellation(polys[:drop] + polys[drop + 1 :], covers_all_vertices=False)
-    tg = TessellatedGraph(SimpleGraph(num, kept + extra), tuple(tess), pristine=False)
+    tess[-1] = Tessellation(polys[:drop] + polys[drop + 1 :])
+    tg = TessellatedGraph(SimpleGraph(num, kept + extra), tuple(tess))
     assert validate_cover(tg) == _pairwise_report(tg)
 
 
 class TestNoPolygonObjectsOnTheWalkPath:
-    """The grid, the partial cover, plan sampling and the walk step run on
-    flat arrays alone; ``Polygon`` objects are made only when read."""
+    """The grid, the partial cover, reading a cover file, plan sampling and
+    the walk step run on flat arrays alone; ``Polygon`` objects are made
+    only when read."""
 
     @pytest.fixture
     def refuse_polygons(self, monkeypatch):
@@ -344,6 +345,29 @@ class TestNoPolygonObjectsOnTheWalkPath:
             state = step(cover, state)
             state = plan_step(sample_plan(cover, noise, np.random.default_rng(0)), state)
         assert validate_cover(tg).ok
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_grid_of_cliques(GridSpec(3, 2)),
+            # coin polygons of sizes 1, 2 and 4
+            lambda: coined_to_staggered(SimpleGraph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (1, 2)]))[0],
+        ],
+        ids=["grid", "coined"],
+    )
+    def test_read_cover(self, refuse_polygons, build):
+        tg = build()
+        text = "".join(
+            f"{t_idx} " + " ".join(map(str, tess.vertices[a:b].tolist())) + "\n"
+            for t_idx, tess in enumerate(tg.tessellations)
+            for a, b in zip(tess.starts[:-1].tolist(), tess.starts[1:].tolist())
+        )
+        read = read_cover(text, tg.graph)
+        for got, want in zip(read.tessellations, tg.tessellations, strict=True):
+            assert got.vertices.tolist() == want.vertices.tolist()
+            assert got.starts.tolist() == want.starts.tolist()
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert validate_cover(read).ok
 
     def test_refusal_fires(self, refuse_polygons):
         with pytest.raises(AssertionError):
@@ -441,7 +465,6 @@ class TestGraphIO:
         assert tg.num_tessellations == 1
         poly = tg.tessellations[0].polygons[0]
         assert np.allclose(poly.amplitudes, 0.5)
-        assert tg.pristine
 
     def test_read_cover_rejects_gap_in_indices(self):
         g = SimpleGraph(2, frozenset({(0, 1)}))

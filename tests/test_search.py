@@ -39,7 +39,6 @@ class TestPartialCover:
         removed = {tuple(p.vertices.tolist()) for p in tg.tessellations[0].polygons}
         kept = {tuple(p.vertices.tolist()) for p in part.tessellations[0].polygons}
         assert removed - kept == {(8, 9, 10, 11)}
-        assert not part.pristine
 
     def test_validation_reports_uncovered_marked_clique(self):
         tg = make_grid_of_cliques(GridSpec(3, 1))
