@@ -11,8 +11,11 @@ a block of m slots by P polygons, and polygon sums and per-polygon factors
 run along its rows; a tessellation covering vertices 0..E-1 in polygon
 order is read and written in place, with no gather or scatter.  Polygons of
 different sizes keep a flat layout summed with ``reduceat``.  Noise enters
-a reflection as per-entry masks that reweight each polygon by the squared
-amplitudes of its surviving entries.
+a reflection as one per-entry mask of detached entries, built from a
+sampled plan inside :func:`_apply_cover`: each polygon is reweighted by the
+squared amplitudes of its surviving entries, and a detached entry either
+leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
+split off a broken polygon).  The compiled layout is private to this module.
 
 The step loop makes no BLAS call: the unit-norm check that every new state
 passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
@@ -22,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .graph import GridSpec, Tessellation, TessellatedGraph
+from .graph import GridSpec, SimpleGraph, Tessellation, TessellatedGraph
 
 #: Tolerance on the unit norm of walk states.
 STATE_NORM_TOL = 1e-10
@@ -120,7 +122,6 @@ class _FlatTessellation:
     amps: np.ndarray
     conj_amps: np.ndarray
     amps2: np.ndarray
-    max_vertex: int
     terms: np.ndarray
     gathered: np.ndarray | None
 
@@ -193,7 +194,6 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         amps=laid_out(amps),
         conj_amps=laid_out(np.conj(amps)),
         amps2=laid_out(amps2),
-        max_vertex=int(order.max()) if order.size else -1,
         terms=np.empty(shape, dtype=np.complex128),
         gathered=None if in_place else np.empty((2,) + shape, dtype=np.complex128),
     )
@@ -206,16 +206,17 @@ def _reflect(
     vec: np.ndarray,
     out: np.ndarray,
     drop: np.ndarray | None = None,
-    lone: np.ndarray | None = None,
+    split: bool = False,
 ) -> np.ndarray:
-    """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by per-entry
-    masks broadcastable to ``flat.shape``.  ``out`` must not alias ``vec``.
+    """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by a per-entry
+    mask broadcastable to ``flat.shape``.  ``out`` must not alias ``vec``.
 
-    Entries marked in ``drop`` leave their polygon, whose surviving block is
-    renormalized by the per-polygon survivor weight (the sum of |amplitude|^2
-    over entries not dropped); they pick up the -I term, or +1 where ``lone``
-    marks them as singleton polygons of their own.  A vertex covered by no
-    polygon picks up the -I term.
+    Entries marked in ``drop`` detach from their polygon, whose surviving
+    block is renormalized by the per-polygon survivor weight (the sum of
+    |amplitude|^2 over entries not dropped).  A detached entry leaves the
+    cover and picks up the -I term, or with ``split`` reflects as a singleton
+    polygon of its own and picks up +1.  A vertex covered by no polygon picks
+    up the -I term.
     """
     size = flat.order.size
     if flat.index is None:
@@ -243,10 +244,10 @@ def _reflect(
     np.multiply(flat.per_entry(factor), flat.amps, out=res)
     res -= sv
     if drop is not None:
-        np.negative(sv, out=res, where=drop)
-    if lone is not None:
-        # A lone entry reflects as its own unit polygon: net effect +vec.
-        np.copyto(res, sv, where=lone)
+        if split:
+            np.copyto(res, sv, where=drop)
+        else:
+            np.negative(sv, out=res, where=drop)
     if flat.index is not None:
         out[flat.index] = res
     return out
@@ -264,30 +265,36 @@ def _unitary_image(amps: np.ndarray) -> WalkState:
 
 def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
     """Apply the reflection operator of a single tessellation."""
-    flat = _flatten(tess)
-    vec = state.amplitudes
-    if flat.max_vertex >= vec.size:
-        raise ValueError(f"tessellation references vertex {flat.max_vertex} >= state size {vec.size}")
-    out = np.empty_like(vec)
-    return _unitary_image(_reflect(flat, vec, out))
+    tg = TessellatedGraph(SimpleGraph(state.num_vertices), (tess,))
+    return _apply_cover(tg, state)
 
 
-def _apply_cover(
-    tg: TessellatedGraph,
-    state: WalkState,
-    entry_masks: Sequence[tuple[np.ndarray | None, np.ndarray | None]] | None = None,
-) -> WalkState:
-    """Apply every tessellation in index order, the t-th one perturbed by the
-    (drop, lone) pair ``entry_masks[t]`` when given.  Reflections alternate
-    between two buffers, so a step allocates at most two state vectors."""
+def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
+    """Apply every tessellation in index order, each perturbed by ``plan``
+    when given.
+
+    ``plan`` is a sampled :class:`sqwsim.noise.BreakPlan`, read only through
+    its ``broken_vertex_mask`` and ``polygon_breaks`` (``sqwsim.noise``
+    imports this module, so the type is not imported here): a broken vertex
+    detaches from its polygon in every tessellation and leaves the cover,
+    and the split-off entries of a broken polygon detach and become
+    singletons.  Reflections alternate between two buffers, so a step
+    allocates at most two state vectors.
+    """
     vec = state.amplitudes
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
+    vmask = None if plan is None else plan.broken_vertex_mask
+    breaks = {} if plan is None else plan.polygon_breaks
     buffers = [np.empty_like(vec) for _ in range(min(2, tg.num_tessellations))]
     cur = vec
     for t_idx, tess in enumerate(tg.tessellations):
-        drop, lone = (None, None) if entry_masks is None else entry_masks[t_idx]
-        cur = _reflect(_flatten(tess), cur, buffers[t_idx % 2], drop, lone)
+        flat = _flatten(tess)
+        drop = None if vmask is None else flat.gather(vmask)
+        tb = breaks.get(t_idx)
+        if tb is not None:
+            drop = flat.entry_mask(tb.broken, tb.lone_slot)
+        cur = _reflect(flat, cur, buffers[t_idx % 2], drop, split=tb is not None)
     if cur is vec:
         cur = vec.copy()
     return _unitary_image(cur)

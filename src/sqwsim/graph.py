@@ -252,9 +252,11 @@ class Tessellation:
     def num_polygons(self) -> int:
         return int(self.starts.size - 1)
 
-    @property
+    @functools.cached_property
     def sizes(self) -> np.ndarray:
-        return np.diff(self.starts)
+        sizes = np.diff(self.starts)
+        sizes.setflags(write=False)
+        return sizes
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,11 @@ Two break models, both keeping every step exactly unitary:
 
 Perturbations are resampled from the unperturbed cover at every step
 (:func:`perturbed_step`), which is how the trajectories of both the spreading
-and the search experiments are walked.  A sampled plan acts through
-per-entry masks on the unperturbed cover's compiled layout
-(:func:`plan_step`); :func:`sqwsim.oracle.apply_plan` materializes the same
-plan as an explicit perturbed cover for cross-checks.
+and the search experiments are walked.  :func:`plan_step` hands a sampled
+plan to the step loop of :mod:`sqwsim.evolve`, which turns it into one
+per-entry mask per reflection on the unperturbed cover;
+:func:`sqwsim.oracle.apply_plan` materializes the same plan as an explicit
+perturbed cover for cross-checks.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .evolve import WalkState, _apply_cover, _flatten, renormalize_if_drifting, step
-from .graph import Polygon, TessellatedGraph
+from .evolve import WalkState, _apply_cover, renormalize_if_drifting, step
+from .graph import TessellatedGraph
 
 KINDS = ("none", "break_vertices", "break_polygons")
 SPLIT_POLICIES = ("singletons", "one_vs_rest")
@@ -105,27 +106,6 @@ class BreakPlan:
             return np.empty(0, dtype=np.int64)
         return np.flatnonzero(self.broken_vertex_mask)
 
-    def polygon_partitions(self) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
-        """Explicit vertex partition of every broken polygon, keyed (tessellation, polygon)."""
-        out: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-        for t_idx, tb in sorted(self.polygon_breaks.items()):
-            polys = self.cover.tessellations[t_idx].polygons
-            for pos, j in enumerate(tb.broken):
-                poly = polys[int(j)]
-                slot = None if tb.lone_slot is None else int(tb.lone_slot[pos])
-                out[(t_idx, int(j))] = _partition_blocks(poly, slot)
-        return out
-
-
-def _partition_blocks(poly: Polygon, lone_slot: int | None) -> tuple[tuple[int, ...], ...]:
-    verts = [int(v) for v in poly.vertices]
-    if len(verts) == 1:
-        return (tuple(verts),)
-    if lone_slot is None:
-        return tuple((v,) for v in verts)
-    rest = tuple(v for i, v in enumerate(verts) if i != lone_slot)
-    return ((verts[lone_slot],), rest)
-
 
 def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator) -> BreakPlan:
     """Draw one step's perturbation.  Draw order is fixed (vertices, or one
@@ -145,14 +125,14 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
         raise ValueError(f"scope index {scope[-1]} out of range for {tg.num_tessellations} tessellations")
     breaks: dict[int, _TessellationBreaks] = {}
     for t_idx in scope:
-        flat = _flatten(tg.tessellations[t_idx])
-        hits = rng.random(flat.sizes.size) < spec.p
+        tess = tg.tessellations[t_idx]
+        hits = rng.random(tess.num_polygons) < spec.p
         broken = np.flatnonzero(hits)
         if broken.size == 0:
             continue
         lone = None
         if spec.split_policy == "one_vs_rest":
-            lone = rng.integers(0, flat.sizes[broken])
+            lone = rng.integers(0, tess.sizes[broken])
         breaks[t_idx] = _TessellationBreaks(broken=broken, lone_slot=lone)
     return BreakPlan(tg, polygon_breaks=breaks)
 
@@ -161,25 +141,14 @@ def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
     """Apply one walk step under an already-sampled plan.
 
     Equivalent to ``step(sqwsim.oracle.apply_plan(cover, plan), state)`` up
-    to floating round-off, but works directly on the unperturbed cover's
-    compiled layout with per-entry masks, so nothing is rebuilt per step: a
-    broken vertex drops out of its polygon in every tessellation, and the
-    split-off entries of a broken polygon drop out and reflect as
-    singletons.  An empty plan takes exactly the clean path of
+    to floating round-off, but nothing is rebuilt per step: the step loop
+    of :mod:`sqwsim.evolve` masks the unperturbed cover's reflections, so a
+    broken vertex drops out of its polygon in every tessellation and leaves
+    the cover, and the split-off entries of a broken polygon drop out and
+    reflect as singletons.  An empty plan takes exactly the clean path of
     :func:`sqwsim.evolve.step`.
     """
-    tg = plan.cover
-    vmask = plan.broken_vertex_mask
-    masks = []
-    for t_idx, tess in enumerate(tg.tessellations):
-        flat = _flatten(tess)
-        drop = None if vmask is None else flat.gather(vmask)
-        lone = None
-        tb = plan.polygon_breaks.get(t_idx)
-        if tb is not None:
-            drop = lone = flat.entry_mask(tb.broken, tb.lone_slot)
-        masks.append((drop, lone))
-    return _apply_cover(tg, state, masks)
+    return _apply_cover(plan.cover, state, plan)
 
 
 def perturbed_step(

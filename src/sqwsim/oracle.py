@@ -26,7 +26,7 @@ from .graph import (
     _sorted_distinct,
     make_grid_of_cliques,
 )
-from .noise import BreakPlan, _partition_blocks
+from .noise import BreakPlan
 from .search import partial_cover
 
 #: Refuse to build dense matrices beyond this dimension.
@@ -168,6 +168,23 @@ def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> Tessellate
     return TessellatedGraph(tg.graph, tuple(new_tess))
 
 
+def polygon_partitions(plan: BreakPlan) -> dict[tuple[int, int], tuple[tuple[int, ...], ...]]:
+    """Explicit vertex partition of every broken polygon of a plan, keyed
+    (tessellation, polygon): all singletons, or under the one_vs_rest policy
+    the lone slot's vertex versus the rest."""
+    out: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+    for t_idx, tb in sorted(plan.polygon_breaks.items()):
+        polys = plan.cover.tessellations[t_idx].polygons
+        for pos, j in enumerate(tb.broken.tolist()):
+            verts = polys[j].vertices.tolist()
+            if tb.lone_slot is None or len(verts) == 1:
+                out[(t_idx, j)] = tuple((v,) for v in verts)
+            else:
+                k = int(tb.lone_slot[pos])
+                out[(t_idx, j)] = ((verts[k],), tuple(verts[:k] + verts[k + 1:]))
+    return out
+
+
 def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
     """Materialize a sampled plan as an explicit perturbed cover."""
     if plan.cover is not tg:
@@ -177,17 +194,13 @@ def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
     if plan.broken_vertex_mask is not None:
         return remove_vertices(tg, plan.broken_vertices)
 
+    parts = polygon_partitions(plan)
     new_tess = list(tg.tessellations)
-    for t_idx, tb in sorted(plan.polygon_breaks.items()):
-        tess = tg.tessellations[t_idx]
-        slots = {int(j): (None if tb.lone_slot is None else int(tb.lone_slot[pos]))
-                 for pos, j in enumerate(tb.broken)}
+    for t_idx in sorted(plan.polygon_breaks):
         new_polys: list[Polygon] = []
-        for j, poly in enumerate(tess.polygons):
-            if j in slots:
-                new_polys.extend(break_polygon(poly, _partition_blocks(poly, slots[j])))
-            else:
-                new_polys.append(poly)
+        for j, poly in enumerate(tg.tessellations[t_idx].polygons):
+            part = parts.get((t_idx, j))
+            new_polys.extend((poly,) if part is None else break_polygon(poly, part))
         new_tess[t_idx] = Tessellation(tuple(new_polys))
     return TessellatedGraph(tg.graph, tuple(new_tess))
 

@@ -22,7 +22,10 @@ from .rng import _map_runs, child_seed
 def default_step_budget(spec: GridSpec, factor: float = 1.5) -> int:
     """ceil(factor * sqrt(N ln N)) steps with N = n^2 cells."""
     cells = spec.n**2
-    return max(1, math.ceil(factor * math.sqrt(cells * math.log(cells))))
+    budget = factor * math.sqrt(cells * math.log(cells))
+    if not (factor > 0 and math.isfinite(budget)):
+        raise ValueError(f"step budget factor must be positive and give a finite budget, got {factor!r}")
+    return max(1, math.ceil(budget))
 
 
 @dataclass(frozen=True)

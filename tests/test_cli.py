@@ -190,6 +190,15 @@ class TestSweepCommand:
         assert rc == 2
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize("factor, shown", [("inf", "inf"), ("nan", "nan"), ("1e308", "1e+308")])
+    def test_non_finite_step_budget_exits_2(self, tmp_path, capsys, factor, shown):
+        rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--steps-factor", factor,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: step budget factor must be positive and give a finite budget, got {shown}\n")
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestParserErrors:
     def test_unknown_command_exits_2(self, capsys):

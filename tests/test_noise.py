@@ -14,7 +14,7 @@ from sqwsim.noise import (
     sample_plan,
     _TessellationBreaks,
 )
-from sqwsim.oracle import apply_plan, break_polygon, remove_vertices
+from sqwsim.oracle import apply_plan, break_polygon, polygon_partitions, remove_vertices
 
 
 class TestNoiseSpec:
@@ -196,7 +196,7 @@ class TestSamplePlan:
         tg = make_grid_of_cliques(GridSpec(2, 1))
         ns = NoiseSpec(kind="break_polygons", p=1.0, split_policy="one_vs_rest", scope=(0,))
         plan = sample_plan(tg, ns, np.random.default_rng(4))
-        parts = plan.polygon_partitions()
+        parts = polygon_partitions(plan)
         assert set(parts) == {(0, j) for j in range(4)}
         for (t_idx, j), blocks in parts.items():
             poly = tg.tessellations[t_idx].polygons[j]

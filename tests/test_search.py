@@ -30,6 +30,14 @@ class TestStepBudget:
         budgets = [default_step_budget(GridSpec(n, 1)) for n in (5, 10, 20, 40)]
         assert budgets == sorted(budgets)
 
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan"), 0.0, -1.0, 1e308])
+    def test_rejects_factor_without_a_finite_positive_budget(self, factor):
+        with pytest.raises(ValueError, match="step budget"):
+            default_step_budget(GridSpec(4, 1), factor)
+
+    def test_tiny_factor_gives_one_step(self):
+        assert default_step_budget(GridSpec(4, 1), 1e-9) == 1
+
 
 class TestPartialCover:
     def test_marked_polygon_removed(self):
