@@ -254,7 +254,7 @@ def cmd_sweep(args) -> int:
         for q in q_list:
             for p in p_list:
                 spec = GridSpec(n, q)
-                noise = NoiseSpec() if args.noise == "none" else _noise_from_args(args, p=p)
+                noise = _noise_from_args(args, p=p)
                 combo_seed = child_seed(seed, combo)
                 cfg = SearchConfig(
                     spec=spec,

@@ -3,8 +3,11 @@
 A tessellation is a set of polygons (cliques carrying unit-norm amplitude
 vectors) with pairwise disjoint vertex sets.  A tessellation cover is a list
 of tessellations whose within-polygon edges jointly cover every edge of the
-underlying graph.  The staggered walk operator is built from these covers in
-:mod:`sqwsim.evolve`.
+underlying graph; the staggered walk operator is built from it in
+:mod:`sqwsim.evolve`.  A cover also generates a graph, the union of its
+polygons' cliques.  The grid of cliques and the coined-walk conversion take
+that graph, so they are valid by construction; :func:`validate_cover`
+checks a cover read from a file against the graph read with it.
 
 Covers are stored as flat arrays.  A tessellation keeps its covered vertices
 in polygon order, the polygon boundaries and the amplitudes; a graph keeps
@@ -120,6 +123,36 @@ class SimpleGraph:
         return [heads[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
+def _checked_polygons(vertices, starts, amplitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat arrays of ``Tessellation``'s layout, checked as a whole and
+    returned read-only as int64, int64 and complex128."""
+    verts = np.ascontiguousarray(vertices, dtype=np.int64)
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
+    if verts.ndim != 1 or amps.shape != verts.shape:
+        raise ValueError("vertices and amplitudes must be parallel 1-d arrays")
+    if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or starts[-1] != verts.size:
+        raise ValueError("polygon starts must run from 0 to the number of entries")
+    if np.any(starts[1:] <= starts[:-1]):
+        raise ValueError("every polygon needs at least one vertex")
+    if verts.size:
+        if verts.min() < 0:
+            raise ValueError("negative vertex index in polygon")
+        if _sorted_distinct(verts).size != verts.size:
+            polygon_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+            keyed = polygon_of * (int(verts.max()) + 1) + verts
+            if _sorted_distinct(keyed).size != keyed.size:
+                raise ValueError("duplicate vertex in polygon")
+            raise ValueError("tessellation polygons overlap")
+        norm2 = np.add.reduceat(amps.real**2 + amps.imag**2, starts[:-1])
+        bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
+        if bad.size:
+            raise ValueError(f"polygon amplitudes have squared norm {float(norm2[bad[0]])!r}, expected 1")
+    for arr in (verts, starts, amps):
+        arr.setflags(write=False)
+    return verts, starts, amps
+
+
 @dataclass(frozen=True, eq=False)
 class Polygon:
     """A clique with a unit-norm amplitude vector over its vertices.
@@ -133,21 +166,10 @@ class Polygon:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        verts = np.ascontiguousarray(self.vertices, dtype=np.int64)
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if verts.ndim != 1 or verts.size == 0:
+        size = np.size(self.vertices)
+        if np.ndim(self.vertices) != 1 or size == 0:
             raise ValueError("a polygon needs a non-empty 1-d vertex array")
-        if amps.shape != verts.shape:
-            raise ValueError("vertices and amplitudes must be parallel arrays")
-        if _sorted_distinct(verts).size != verts.size:
-            raise ValueError("duplicate vertex in polygon")
-        if np.min(verts) < 0:
-            raise ValueError("negative vertex index in polygon")
-        norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if not abs(norm2 - 1.0) <= NORM_TOL:
-            raise ValueError(f"polygon amplitudes have squared norm {norm2!r}, expected 1")
-        verts.setflags(write=False)
-        amps.setflags(write=False)
+        verts, _, amps = _checked_polygons(self.vertices, [0, size], self.amplitudes)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -209,35 +231,9 @@ class Tessellation:
         return tess
 
     def _store(self, vertices, starts, amplitudes) -> None:
-        verts = np.ascontiguousarray(vertices, dtype=np.int64)
-        starts = np.ascontiguousarray(starts, dtype=np.int64)
-        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
-        if verts.ndim != 1 or amps.shape != verts.shape:
-            raise ValueError("vertices and amplitudes must be parallel 1-d arrays")
-        if starts.ndim != 1 or starts.size == 0 or starts[0] != 0 or starts[-1] != verts.size:
-            raise ValueError("polygon starts must run from 0 to the number of entries")
-        if np.any(starts[1:] <= starts[:-1]):
-            raise ValueError("every polygon needs at least one vertex")
-        if verts.size:
-            if verts.min() < 0:
-                raise ValueError("negative vertex index in polygon")
-            if _sorted_distinct(verts).size != verts.size:
-                polygon_of = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-                keyed = polygon_of * (int(verts.max()) + 1) + verts
-                if _sorted_distinct(keyed).size != keyed.size:
-                    raise ValueError("duplicate vertex in polygon")
-                raise ValueError("tessellation polygons overlap")
-            norm2 = np.add.reduceat(amps.real**2 + amps.imag**2, starts[:-1])
-            bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
-            if bad.size:
-                raise ValueError(
-                    f"polygon amplitudes have squared norm {float(norm2[bad[0]])!r}, expected 1"
-                )
-        for arr in (verts, starts, amps):
-            arr.setflags(write=False)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "amplitudes", amps)
+        checked = _checked_polygons(vertices, starts, amplitudes)
+        for name, arr in zip(("vertices", "starts", "amplitudes"), checked):
+            object.__setattr__(self, name, arr)
 
     @functools.cached_property
     def polygons(self) -> tuple[Polygon, ...]:
@@ -325,7 +321,6 @@ class CoverReport:
     bad_polygons: tuple[tuple[int, int], ...]
     partition_ok: bool
     uncovered_vertices: tuple[tuple[int, int], ...]
-    duplicated_vertices: tuple[tuple[int, int], ...]
     edge_cover_ok: bool
     uncovered_edges: tuple[tuple[int, int], ...]
     tessellation_count: int
@@ -342,8 +337,6 @@ class CoverReport:
         lines.append(f"each tessellation partitions the vertices: {'ok' if self.partition_ok else 'FAIL'}")
         for t_idx, v in self.uncovered_vertices:
             lines.append(f"  vertex {v} uncovered in tessellation {t_idx}")
-        for t_idx, v in self.duplicated_vertices:
-            lines.append(f"  vertex {v} covered more than once in tessellation {t_idx}")
         lines.append(f"union of polygon edges covers the graph: {'ok' if self.edge_cover_ok else 'FAIL'}")
         for u, v in self.uncovered_edges:
             lines.append(f"  edge ({u}, {v}) not inside any polygon")
@@ -363,6 +356,16 @@ def _polygon_pairs(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
+def _clique_cover(num_vertices: int, tessellations: tuple[Tessellation, ...]) -> TessellatedGraph:
+    """``tessellations`` over the graph they generate: its edges are the
+    vertex pairs inside each polygon, so the cover is valid by construction."""
+    pairs = []
+    for tess in tessellations:
+        first, second = _polygon_pairs(tess.starts)
+        pairs.append(np.stack((tess.vertices[first], tess.vertices[second]), axis=1))
+    return TessellatedGraph(SimpleGraph(num_vertices, np.concatenate(pairs)), tessellations)
+
+
 def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     """Build the toroidal grid of 4q-cliques with its two-tessellation cover.
 
@@ -374,8 +377,7 @@ def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     [3q, 4q) of cell (x, y+1).
 
     Both tessellations are generated as blocks of index arithmetic, and the
-    edges as the pairs inside each cell plus the q*q cross pairs of each
-    link, which no cell holds.
+    graph is the one they generate.
     """
     n, q = spec.n, spec.q
     cell = spec.cell_size
@@ -402,25 +404,7 @@ def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
         np.arange(0, num + 1, 2 * q, dtype=np.int64),
         np.full(num, 1.0 / math.sqrt(2 * q), dtype=np.complex128),
     )
-    slot_u, slot_v = np.triu_indices(cell, 1)
-    edges = np.empty((n * n * (slot_u.size + 2 * q * q), 2), dtype=np.int64)
-    in_cell = edges[: n * n * slot_u.size].reshape(n * n, slot_u.size, 2)
-    in_cell[..., 0] = base + slot_u
-    in_cell[..., 1] = base + slot_v
-    cross = edges[n * n * slot_u.size :].reshape(-1, q, q, 2)
-    halves = links.reshape(-1, 2, q)
-    cross[..., 0] = halves[:, 0, :, None]
-    cross[..., 1] = halves[:, 1, None, :]
-    return TessellatedGraph(SimpleGraph(num, edges), (cells, link_tess))
-
-
-def expected_grid_edge_count(spec: GridSpec) -> int:
-    """Edge count of the grid of cliques: n^2*C(4q,2) cell edges plus
-    2n^2*q^2 edges added by the links (each link clique on 2q vertices
-    contributes only the q*q cross edges; its two q-halves already lie
-    inside cell cliques)."""
-    n, q = spec.n, spec.q
-    return n * n * math.comb(4 * q, 2) + 2 * n * n * q * q
+    return _clique_cover(num, (cells, link_tess))
 
 
 def validate_cover(tg: TessellatedGraph) -> CoverReport:
@@ -430,7 +414,6 @@ def validate_cover(tg: TessellatedGraph) -> CoverReport:
     edge_covered = np.zeros(g.num_edges, dtype=bool)
     bad_polygons = []
     uncovered_vertices = []
-    duplicated_vertices = []
 
     for t_idx, tess in enumerate(tg.tessellations):
         counts = np.bincount(tess.vertices, minlength=n)
@@ -444,16 +427,14 @@ def validate_cover(tg: TessellatedGraph) -> CoverReport:
         polygon_of = np.searchsorted(tess.starts, first[~found], side="right") - 1
         bad_polygons.extend((t_idx, p) for p in _sorted_distinct(polygon_of).tolist())
         uncovered_vertices.extend((t_idx, v) for v in np.flatnonzero(counts == 0).tolist())
-        duplicated_vertices.extend((t_idx, v) for v in np.flatnonzero(counts > 1).tolist())
 
     uncovered_edges = tuple(map(tuple, g.edge_array[~edge_covered].tolist()))
 
     return CoverReport(
         clique_ok=not bad_polygons,
         bad_polygons=tuple(bad_polygons),
-        partition_ok=not (uncovered_vertices or duplicated_vertices),
+        partition_ok=not uncovered_vertices,
         uncovered_vertices=tuple(uncovered_vertices),
-        duplicated_vertices=tuple(duplicated_vertices),
         edge_cover_ok=not uncovered_edges,
         uncovered_edges=uncovered_edges,
         tessellation_count=tg.num_tessellations,
@@ -489,11 +470,7 @@ def coined_to_staggered(g: SimpleGraph) -> tuple[TessellatedGraph, tuple[tuple[i
         np.arange(0, num_arcs + 1, 2),
         np.full(num_arcs, 1.0 / math.sqrt(2)),
     )
-    # The coin tessellation covers the arcs 0..A-1 in order, so its entry
-    # positions are the arcs themselves.
-    coin_pairs = np.stack(_polygon_pairs(coin.starts), axis=1)
-    graph = SimpleGraph(num_arcs, np.concatenate((coin_pairs, shift_pairs)))
-    return TessellatedGraph(graph, (coin, shift)), tuple(zip(tails.tolist(), heads.tolist()))
+    return _clique_cover(num_arcs, (coin, shift)), tuple(zip(tails.tolist(), heads.tolist()))
 
 
 def _significant_lines(text: str):

@@ -107,6 +107,15 @@ class BreakPlan:
         return np.flatnonzero(self.broken_vertex_mask)
 
 
+def _scope_of(tg: TessellatedGraph, spec: NoiseSpec) -> tuple[int, ...]:
+    """The tessellation indices polygon breaking may hit on ``tg``."""
+    if spec.scope is None:
+        return tuple(range(tg.num_tessellations))
+    if spec.scope[-1] >= tg.num_tessellations:
+        raise ValueError(f"scope index {spec.scope[-1]} out of range for {tg.num_tessellations} tessellations")
+    return spec.scope
+
+
 def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator) -> BreakPlan:
     """Draw one step's perturbation.  Draw order is fixed (vertices, or one
     uniform block per tessellation in ascending index order followed by the
@@ -120,11 +129,8 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
             return BreakPlan(tg)
         return BreakPlan(tg, broken_vertex_mask=mask)
 
-    scope = spec.scope if spec.scope is not None else tuple(range(tg.num_tessellations))
-    if scope and scope[-1] >= tg.num_tessellations:
-        raise ValueError(f"scope index {scope[-1]} out of range for {tg.num_tessellations} tessellations")
     breaks: dict[int, _TessellationBreaks] = {}
-    for t_idx in scope:
+    for t_idx in _scope_of(tg, spec):
         tess = tg.tessellations[t_idx]
         hits = rng.random(tess.num_polygons) < spec.p
         broken = np.flatnonzero(hits)
@@ -174,9 +180,14 @@ def _trajectory(
     """Walk ``steps`` steps from ``state``, each perturbed afresh under ``spec``.
 
     Returns ``observe`` of the state after t = 0..steps steps, and the final
-    state.  ``rng`` is only drawn from when the noise is on.
+    state.  ``rng`` is only drawn from when the noise is on.  The noise
+    scope is checked against ``tg`` even when no plan is ever drawn.
     """
-    series = np.empty(steps + 1, dtype=np.float64)
+    _scope_of(tg, spec)
+    try:
+        series = np.empty(steps + 1, dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ValueError(f"step budget {steps} is too large to record its series") from None
     series[0] = observe(state)
     for t in range(1, steps + 1):
         if spec.is_off:

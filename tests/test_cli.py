@@ -4,6 +4,12 @@ import pytest
 import sqwsim.evolve
 from sqwsim.cli import main
 from sqwsim.graph import GridSpec, make_grid_of_cliques, write_cover, write_graph
+from sqwsim.search import default_step_budget
+
+
+# A finite step budget whose series (8 PB of float64) cannot be allocated.
+HUGE_STEPS = "1000000000000000"
+HUGE_STEPS_ERROR = f"error: step budget {HUGE_STEPS} is too large to record its series\n"
 
 
 @pytest.fixture
@@ -98,6 +104,20 @@ class TestSearchCommand:
         rc = main(["search", "--n", "6", "--noise", "vertices", "--p", "1.5", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_huge_step_budget_exits_2(self, tmp_path, capsys, workers):
+        rc = main(["search", "--n", "4", "--steps", HUGE_STEPS, "--noise", "vertices", "--p", "0.1",
+                   "--runs", "2", "--workers", workers, "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == HUGE_STEPS_ERROR
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_out_of_range_scope_exits_2_at_p_0(self, tmp_path, capsys):
+        rc = main(["search", "--n", "4", "--noise", "polygons", "--p", "0", "--scope", "5",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: scope index 5 out of range for 2 tessellations\n"
+
 
 class TestEvolveCommand:
     def test_outputs_parse_and_match_run_count(self, tmp_path):
@@ -131,6 +151,14 @@ class TestEvolveCommand:
                    "--out-dist", str(tmp_path / "d.csv"), "--out-std", str(tmp_path / "s.csv")])
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_huge_step_budget_exits_2(self, tmp_path, capsys, workers):
+        rc = main(["evolve", "--n", "4", "--steps", HUGE_STEPS, "--noise", "vertices", "--p", "0.1",
+                   "--runs", "2", "--workers", workers,
+                   "--out-dist", str(tmp_path / "d.csv"), "--out-std", str(tmp_path / "s.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == HUGE_STEPS_ERROR
 
     def test_byte_identical_repeat(self, tmp_path):
         args = ["evolve", "--n", "6", "--steps", "5", "--noise", "polygons", "--p", "0.2",
@@ -198,6 +226,19 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             f"error: step budget factor must be positive and give a finite budget, got {shown}\n")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_step_budget_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--steps-factor", "1e15",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        steps = default_step_budget(GridSpec(4, 1), 1e15)
+        assert capsys.readouterr().err == f"error: step budget {steps} is too large to record its series\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_scope_without_polygon_noise_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--scope", "0", "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --scope requires --noise polygons\n"
 
 
 class TestParserErrors:
