@@ -1,0 +1,108 @@
+"""Check that the CLI writes the same bytes as at another commit.
+
+Usage::
+
+    python3 scripts/cmp_outputs.py REF
+
+Exports the committed files of REF (any commit-ish git accepts) into a
+temporary directory with ``git archive``, runs one set of CLI calls on REF
+and on this working tree, and compares every file each call writes, its
+standard output included, byte for byte.  Lists every file that differs or
+exists on one side only, and exits 1 on any difference, 0 when all are equal
+and 2 when REF cannot be exported.
+
+The set: the ``evolve_q1`` and ``sweep_search`` benchmark commands at seeds
+0 and 7, each at one and two workers; the C10 sweep at one and two workers;
+a 6,000-step noiseless evolve, which crosses the renormalization guard at
+t = 1000; and a q = 3 polygon-noise evolve with each split policy.  The
+whole set takes about a minute on a 2-CPU host.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_EVOLVE_OUT = ("--out-dist", "dist.csv", "--out-std", "std.csv")
+
+
+def _calls() -> dict[str, list[str]]:
+    calls = {}
+    for seed in ("0", "7"):
+        for workers in ("1", "2"):
+            calls[f"evolve_q1_seed{seed}_w{workers}"] = [
+                "evolve", "--n", "100", "--q", "1", "--steps", "100", "--runs", "16",
+                "--noise", "vertices", "--p", "0.01", "--seed", seed, "--workers", workers, *_EVOLVE_OUT]
+            calls[f"sweep_search_seed{seed}_w{workers}"] = [
+                "sweep", "--n-list", "10,20", "--q-list", "1,2,3", "--p-list", "0,0.01,0.1",
+                "--noise", "polygons", "--split", "one_vs_rest", "--runs", "20",
+                "--seed", seed, "--workers", workers, "--out", "sweep.csv"]
+    for workers in ("1", "2"):
+        calls[f"c10_sweep_w{workers}"] = [
+            "sweep", "--n-list", "6,8", "--p-list", "0,0.05", "--noise", "polygons",
+            "--split", "one_vs_rest", "--runs", "4", "--seed", "1010", "--workers", workers,
+            "--out", "sweep.csv"]
+    calls["evolve_renorm_guard"] = [
+        "evolve", "--n", "4", "--steps", "6000", "--runs", "1", "--workers", "1", *_EVOLVE_OUT]
+    for split in ("singletons", "one_vs_rest"):
+        calls[f"evolve_q3_polygons_{split}"] = [
+            "evolve", "--n", "20", "--q", "3", "--steps", "60", "--runs", "8", "--noise", "polygons",
+            "--p", "0.05", "--split", split, "--seed", "3", "--workers", "1", *_EVOLVE_OUT]
+    return calls
+
+
+def _run_all(tree: Path, outdir: Path, calls: dict[str, list[str]]) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for name, argv in calls.items():
+        cwd = outdir / name
+        cwd.mkdir(parents=True)
+        proc = subprocess.run([sys.executable, "-m", "sqwsim.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, check=False)
+        (cwd / "stdout.txt").write_bytes(proc.stdout + f"exit {proc.returncode}\n".encode())
+        print(f"{outdir.name}: {name} exit {proc.returncode}", file=sys.stderr)
+
+
+def _differences(left: Path, right: Path) -> list[str]:
+    names = {p.relative_to(left) for p in left.rglob("*") if p.is_file()}
+    names |= {p.relative_to(right) for p in right.rglob("*") if p.is_file()}
+    differing = []
+    for name in sorted(names):
+        a, b = left / name, right / name
+        if not (a.is_file() and b.is_file()) or a.read_bytes() != b.read_bytes():
+            differing.append(str(name))
+    return differing
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="commit to compare this working tree against")
+    args = parser.parse_args(argv)
+    work = Path(tempfile.mkdtemp(prefix="cmp_outputs_"))
+    try:
+        ref_tree = work / "ref_tree"
+        ref_tree.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.ref], capture_output=True, check=False)
+        if archive.returncode:
+            print(f"error: cannot export {args.ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
+        calls = _calls()
+        _run_all(ref_tree, work / "ref", calls)
+        _run_all(ROOT, work / "tree", calls)
+        differing = _differences(work / "ref", work / "tree")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    for name in differing:
+        print(f"differs: {name}")
+    print(f"{len(differing)} differing file(s)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

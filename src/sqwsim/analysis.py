@@ -11,7 +11,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .evolve import WalkState, localized_clique_state
+from .evolve import WalkState, _abs2, localized_clique_state
 from .graph import GridSpec, make_grid_of_cliques
 from .noise import NoiseSpec, _trajectory
 from .rng import _map_runs, child_seed
@@ -61,8 +61,7 @@ def position_distribution(state: WalkState, spec: GridSpec) -> PositionDistribut
     """Collapse vertex probabilities onto cells."""
     if state.num_vertices != spec.num_vertices:
         raise ValueError("state size does not match the grid")
-    amps = state.amplitudes
-    slots = (amps.real**2 + amps.imag**2).reshape(-1, spec.cell_size)
+    slots = _abs2(state).reshape(-1, spec.cell_size)
     # Adding the strided slot columns in order makes n^2-long passes; summing
     # each cell's row makes numpy loop over n^2 rows of only 4q entries.
     probs = slots[:, 0].copy()

@@ -17,6 +17,11 @@ squared amplitudes of its surviving entries, and a detached entry either
 leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
 split off a broken polygon).  The compiled layout is private to this module.
 
+A real reflection, broken or not, keeps a real vector real, so a step walks
+in float64 when the cover and the state are real: layouts are compiled per
+dtype, and a state that a real step made keeps its float64 buffer for the
+next step and the observables.
+
 The step loop makes no BLAS call: the unit-norm check that every new state
 passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
 spins between steps.
@@ -24,7 +29,7 @@ spins between steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -44,17 +49,19 @@ class InvariantError(RuntimeError):
 
 
 def _norm(amps: np.ndarray) -> float:
-    """Euclidean norm of a contiguous complex vector, summed by a ufunc
-    rather than a (possibly threaded) BLAS dot; NaN for NaN entries."""
+    """Euclidean norm of a contiguous float64 or complex128 vector, summed by
+    a ufunc rather than a (possibly threaded) BLAS dot; NaN for NaN entries."""
     parts = amps.view(np.float64)
     return math.sqrt(float(np.add.reduce(parts * parts)))
 
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
-    """Unit-norm complex amplitude vector indexed by graph vertex."""
+    """Unit-norm complex amplitude vector indexed by graph vertex.  A state
+    that a real step made also keeps the float64 buffer it wrote (``_real``)."""
 
     amplitudes: np.ndarray
+    _real: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
@@ -69,6 +76,16 @@ class WalkState:
     @property
     def num_vertices(self) -> int:
         return int(self.amplitudes.size)
+
+
+def _abs2(state: WalkState, where: slice = slice(None)) -> np.ndarray:
+    """|amplitude|^2 of the entries ``where``, from the float64 buffer when
+    the state has one (equal bits, as its imaginary parts are zero)."""
+    if state._real is not None:
+        amps = state._real[where]
+        return amps * amps
+    amps = state.amplitudes[where]
+    return amps.real**2 + amps.imag**2
 
 
 def uniform_state(num_vertices: int) -> WalkState:
@@ -106,12 +123,14 @@ class _FlatTessellation:
     of cliques: the covered entries are then a view of the state's leading
     E entries, read and written in place.
 
-    ``terms`` holds the per-entry products of a reflection, and ``gathered``
-    (when ``index`` is set) its gathered input and its result.  Every
-    reflection reuses them, so a step allocates no entry-sized temporaries:
-    the allocator may hand freed temporaries back to the system and fault
-    their pages in again on the next step (about 750 minor faults per step
-    on the grid at N = 40,000).
+    ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 in a
+    layout compiled for the real route, complex128 otherwise.  ``terms``
+    holds the per-entry products of a reflection, and ``gathered`` (when
+    ``index`` is set) its gathered input and its result.  Every reflection
+    reuses them, so a step allocates no entry-sized temporaries: the
+    allocator may hand freed temporaries back to the system and fault their
+    pages in again on the next step (about 750 minor faults per step on the
+    grid at N = 40,000).
     """
 
     order: np.ndarray
@@ -165,14 +184,21 @@ class _FlatTessellation:
         return mask
 
 
-_flat_cache: "WeakKeyDictionary[Tessellation, _FlatTessellation]" = WeakKeyDictionary()
+_flat_cache: "WeakKeyDictionary[Tessellation, dict[type, _FlatTessellation | None]]" = WeakKeyDictionary()
 
 
-def _flatten(tess: Tessellation) -> _FlatTessellation:
-    cached = _flat_cache.get(tess)
-    if cached is not None:
-        return cached
+def _flatten(tess: Tessellation, dtype: type = np.complex128) -> _FlatTessellation | None:
+    """The layout of ``tess`` compiled for ``dtype``, cached per (tessellation,
+    dtype); None for float64 when an amplitude has a nonzero imaginary part."""
+    compiled = _flat_cache.setdefault(tess, {})
+    if dtype in compiled:
+        return compiled[dtype]
     order, starts, amps = tess.vertices, tess.starts, tess.amplitudes
+    if dtype is np.float64:
+        if amps.imag.any():
+            compiled[dtype] = None
+            return None
+        amps = np.ascontiguousarray(amps.real)
     sizes = tess.sizes
     amps2 = amps.real**2 + amps.imag**2
     if not np.all(amps2 > 0.0):
@@ -194,10 +220,10 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         amps=laid_out(amps),
         conj_amps=laid_out(np.conj(amps)),
         amps2=laid_out(amps2),
-        terms=np.empty(shape, dtype=np.complex128),
-        gathered=None if in_place else np.empty((2,) + shape, dtype=np.complex128),
+        terms=np.empty(shape, dtype=dtype),
+        gathered=None if in_place else np.empty((2,) + shape, dtype=dtype),
     )
-    _flat_cache[tess] = flat
+    compiled[dtype] = flat
     return flat
 
 
@@ -254,13 +280,19 @@ def _reflect(
 
 
 def _unitary_image(amps: np.ndarray) -> WalkState:
-    """The state a reflection product made from a valid state.  Reflections
-    are unitary, so a norm off by more than STATE_NORM_TOL is a broken
-    invariant, not bad input."""
-    try:
-        return WalkState(amps)
-    except ValueError as exc:
-        raise InvariantError(f"walk step broke unitarity: {exc}") from None
+    """The state that reflections of a valid state wrote into ``amps`` (float64
+    on the real route).  Reflections are unitary, so a norm off by more than
+    STATE_NORM_TOL is a broken invariant, not bad input."""
+    norm = _norm(amps)
+    if not abs(norm - 1.0) <= STATE_NORM_TOL:
+        raise InvariantError(
+            f"walk step broke unitarity: state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
+    state = object.__new__(WalkState)  # skips __post_init__'s second norm pass
+    object.__setattr__(state, "amplitudes", amps.astype(np.complex128, copy=False))
+    object.__setattr__(state, "_real", amps if amps.dtype == np.float64 else None)
+    for arr in (amps, state.amplitudes):
+        arr.setflags(write=False)
+    return state
 
 
 def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
@@ -278,18 +310,27 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     imports this module, so the type is not imported here): a broken vertex
     detaches from its polygon in every tessellation and leaves the cover,
     and the split-off entries of a broken polygon detach and become
-    singletons.  Reflections alternate between two buffers, so a step
-    allocates at most two state vectors.
+    singletons.  The step walks the state's float64 buffer when the state
+    and every tessellation are real (a state without one is checked here),
+    and its complex amplitudes otherwise.  Reflections alternate between
+    two buffers, so a step allocates at most two state vectors.
     """
     vec = state.amplitudes
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
+    real = state._real
+    if real is None and not vec.imag.any():
+        real = vec.real.copy()
+    flats = None if real is None else [_flatten(tess, np.float64) for tess in tg.tessellations]
+    if flats is None or None in flats:
+        flats = [_flatten(tess) for tess in tg.tessellations]
+    else:
+        vec = real
     vmask = None if plan is None else plan.broken_vertex_mask
     breaks = {} if plan is None else plan.polygon_breaks
-    buffers = [np.empty_like(vec) for _ in range(min(2, tg.num_tessellations))]
+    buffers = [np.empty_like(vec) for _ in range(min(2, len(flats)))]
     cur = vec
-    for t_idx, tess in enumerate(tg.tessellations):
-        flat = _flatten(tess)
+    for t_idx, flat in enumerate(flats):
         drop = None if vmask is None else flat.gather(vmask)
         tb = breaks.get(t_idx)
         if tb is not None:

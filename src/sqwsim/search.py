@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolve import WalkState, uniform_state
+from .evolve import WalkState, _abs2, uniform_state
 from .graph import GridSpec, Tessellation, TessellatedGraph, make_grid_of_cliques
 from .noise import NoiseSpec, _trajectory
 from .rng import _map_runs, child_seed
@@ -127,8 +127,7 @@ def success_probability(state: WalkState, spec: GridSpec, marked: tuple[int, int
     """Probability of finding the walker on the marked cell's clique."""
     if state.num_vertices != spec.num_vertices:
         raise ValueError("state size does not match the grid")
-    amps = state.amplitudes[spec.cell_slice(*marked)]
-    return float(np.sum(amps.real**2 + amps.imag**2))
+    return float(np.sum(_abs2(state, spec.cell_slice(*marked))))
 
 
 def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:

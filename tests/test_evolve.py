@@ -127,21 +127,27 @@ class TestCompiledLayout:
 
     def test_scratch_reuse_leaves_returned_states_alone(self):
         # every reflection reuses its tessellation's scratch arrays, so no
-        # state handed out may share memory with them
+        # state handed out may share memory with them, on either route
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
         rng = np.random.default_rng(8)
-        states = [WalkState(random_state(rng, tg.num_vertices))]
-        for _ in range(3):
-            states.append(step(tg, states[-1]))
+        states = []
+        for start in (WalkState(random_state(rng, tg.num_vertices)), uniform_state(tg.num_vertices)):
+            states.append(start)
+            for _ in range(3):
+                states.append(step(tg, states[-1]))
         kept = [s.amplitudes.copy() for s in states]
         for _ in range(3):
             step(tg, WalkState(random_state(rng, tg.num_vertices)))
+            step(tg, step(tg, uniform_state(tg.num_vertices)))
         for state, copy in zip(states, kept):
             assert state.amplitudes.tobytes() == copy.tobytes()
+        arrays = [s.amplitudes for s in states] + [s._real for s in states if s._real is not None]
+        assert len(arrays) == len(states) + 3
         for tess in tg.tessellations:
-            flat = _flatten(tess)
-            scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
-            assert not any(np.shares_memory(a, s.amplitudes) for a in scratch for s in states)
+            for dtype in (np.complex128, np.float64):
+                flat = _flatten(tess, dtype)
+                scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
+                assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
 
 
 class TestStep:

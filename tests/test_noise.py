@@ -5,7 +5,15 @@ import pytest
 
 from conftest import random_cover, random_state
 from sqwsim.evolve import WalkState, step
-from sqwsim.graph import GridSpec, Polygon, SimpleGraph, TessellatedGraph, Tessellation, make_grid_of_cliques
+from sqwsim.graph import (
+    GridSpec,
+    Polygon,
+    SimpleGraph,
+    TessellatedGraph,
+    Tessellation,
+    coined_to_staggered,
+    make_grid_of_cliques,
+)
 from sqwsim.noise import (
     BreakPlan,
     NoiseSpec,
@@ -15,6 +23,7 @@ from sqwsim.noise import (
     _TessellationBreaks,
 )
 from sqwsim.oracle import apply_plan, break_polygon, polygon_partitions, remove_vertices
+from sqwsim.search import partial_cover
 
 
 class TestNoiseSpec:
@@ -321,3 +330,71 @@ class TestPerturbedStep:
         rate = hits / total
         sd = math.sqrt(0.2 * 0.8 / total)
         assert abs(rate - 0.2) < 3.5 * sd
+
+
+def _real_covers() -> dict[str, TessellatedGraph]:
+    """Real covers of every compiled layout: in-place and gathered blocks of
+    m = 4 and m = 12 slots, a block with the marked cell left out, and the
+    ragged coin tessellation of an irregular graph (flat ``reduceat``)."""
+    covers = {}
+    for q in (1, 3):
+        tg = make_grid_of_cliques(GridSpec(4, q))
+        covers[f"grid_q{q}"] = tg
+        covers[f"partial_q{q}"] = partial_cover(tg, (1, 2))
+    ring = [(v, (v + 1) % 12) for v in range(12)]
+    irregular = SimpleGraph(12, frozenset(ring + [(0, 3), (0, 6), (0, 8), (2, 9), (4, 10)]))
+    covers["coined_ragged"] = coined_to_staggered(irregular)[0]
+    return covers
+
+
+REAL_COVERS = _real_covers()
+ROUTE_NOISE = {
+    "none": NoiseSpec(),
+    "vertices": NoiseSpec(kind="break_vertices", p=0.3),
+    "singletons": NoiseSpec(kind="break_polygons", p=0.3, split_policy="singletons"),
+    "one_vs_rest": NoiseSpec(kind="break_polygons", p=0.3, split_policy="one_vs_rest"),
+}
+
+
+class TestRealRoute:
+    """A real cover walks a real state in float64 and any other state in
+    complex128.  Both routes add the same terms in the same order, so a step
+    of i*psi has as imaginary part exactly the step of psi."""
+
+    @pytest.mark.parametrize("noise", sorted(ROUTE_NOISE))
+    @pytest.mark.parametrize("cover", sorted(REAL_COVERS))
+    def test_real_route_equals_complex_route_bit_for_bit(self, cover, noise):
+        tg = REAL_COVERS[cover]
+        psi = np.random.default_rng(4).normal(size=tg.num_vertices)
+        real = WalkState(psi / math.sqrt(np.sum(psi * psi)))
+        imag = WalkState(1j * real.amplitudes.real)
+        rng = np.random.default_rng(6)
+        for _ in range(3):
+            plan = sample_plan(tg, ROUTE_NOISE[noise], rng)
+            real, imag = plan_step(plan, real), plan_step(plan, imag)
+            assert real._real is not None and imag._real is None
+            assert real.amplitudes.dtype == np.complex128
+            assert not real.amplitudes.imag.any()
+            assert np.array_equal(imag.amplitudes.imag, real.amplitudes.real)
+            assert np.array_equal(real._real, real.amplitudes.real)
+
+    @pytest.mark.parametrize("cover", sorted(REAL_COVERS))
+    def test_full_breaks_are_exact_identities_on_both_routes(self, cover):
+        # every vertex broken: -I from each of the two tessellations; every
+        # polygon split into singletons: +I on covered entries, -I elsewhere
+        tg = REAL_COVERS[cover]
+        psi = np.random.default_rng(5).normal(size=tg.num_vertices)
+        psi /= math.sqrt(np.sum(psi * psi))
+        uncovered = np.zeros(tg.num_vertices, dtype=int)
+        for tess in tg.tessellations:
+            uncovered += 1
+            uncovered[tess.vertices] -= 1
+        sign = np.where(uncovered % 2 == 1, -1.0, 1.0)
+        for spec, expected in (
+            (NoiseSpec(kind="break_vertices", p=1.0), psi),
+            (NoiseSpec(kind="break_polygons", p=1.0, split_policy="singletons"), sign * psi),
+        ):
+            plan = sample_plan(tg, spec, np.random.default_rng(0))
+            for phase in (1.0, 1j):
+                out = plan_step(plan, WalkState(phase * psi)).amplitudes
+                assert np.array_equal(out, phase * expected)
