@@ -17,10 +17,9 @@ squared amplitudes of its surviving entries, and a detached entry either
 leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
 split off a broken polygon).  The compiled layout is private to this module.
 
-A real reflection, broken or not, keeps a real vector real, so a step walks
-in float64 when the cover and the state are real: layouts are compiled per
-dtype, and a state that a real step made keeps its float64 buffer for the
-next step and the observables.
+A real reflection, broken or not, keeps a real vector real, so a real state
+holds one float64 buffer, which steps walk (layouts are compiled per dtype)
+and observables read; complex amplitudes are built only when read.
 
 The step loop makes no BLAS call: the unit-norm check that every new state
 passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
@@ -29,7 +28,8 @@ spins between steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -55,36 +55,53 @@ def _norm(amps: np.ndarray) -> float:
     return math.sqrt(float(np.add.reduce(parts * parts)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WalkState:
-    """Unit-norm complex amplitude vector indexed by graph vertex.  A state
-    that a real step made also keeps the float64 buffer it wrote (``_real``)."""
+    """Unit-norm amplitude vector indexed by graph vertex, held as one
+    read-only copy ``_amps``: float64 when every imaginary part is zero,
+    complex128 otherwise.  The complex128 ``amplitudes`` are built from it
+    when first read, and kept."""
 
-    amplitudes: np.ndarray
-    _real: np.ndarray | None = field(default=None, init=False, repr=False)
+    _amps: np.ndarray
 
-    def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size == 0:
             raise ValueError("state must be a non-empty 1-d amplitude vector")
+        self._hold(amps if amps.imag.any() else amps.real.copy(), ValueError)
+
+    @classmethod
+    def _written(cls, amps: np.ndarray) -> WalkState:
+        """The state whose buffer the walk wrote into ``amps``, taken without
+        a copy.  Reflections are unitary, so a norm off by more than
+        STATE_NORM_TOL is a broken invariant, not bad input."""
+        state = object.__new__(cls)
+        state._hold(amps, InvariantError)
+        return state
+
+    def _hold(self, amps: np.ndarray, error: type[Exception]) -> None:
         norm = _norm(amps)
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
+            raise error(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
         amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_amps", amps)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        amps = self._amps.astype(np.complex128, copy=False)
+        amps.setflags(write=False)
+        return amps
 
     @property
     def num_vertices(self) -> int:
-        return int(self.amplitudes.size)
+        return int(self._amps.size)
 
 
 def _abs2(state: WalkState, where: slice = slice(None)) -> np.ndarray:
-    """|amplitude|^2 of the entries ``where``, from the float64 buffer when
-    the state has one (equal bits, as its imaginary parts are zero)."""
-    if state._real is not None:
-        amps = state._real[where]
+    """|amplitude|^2 of the entries ``where``, read from the state's buffer."""
+    amps = state._amps[where]
+    if amps.dtype == np.float64:
         return amps * amps
-    amps = state.amplitudes[where]
     return amps.real**2 + amps.imag**2
 
 
@@ -92,13 +109,13 @@ def uniform_state(num_vertices: int) -> WalkState:
     """Uniform superposition 1/sqrt(N) over all vertices."""
     if num_vertices <= 0:
         raise ValueError("need at least one vertex")
-    amps = np.full(num_vertices, 1.0 / math.sqrt(num_vertices), dtype=np.complex128)
+    amps = np.full(num_vertices, 1.0 / math.sqrt(num_vertices))
     return WalkState(amps)
 
 
 def localized_clique_state(spec: GridSpec, x: int = 0, y: int = 0) -> WalkState:
     """State of the cell clique at (x, y): uniform over its 4q vertices, zero elsewhere."""
-    amps = np.zeros(spec.num_vertices, dtype=np.complex128)
+    amps = np.zeros(spec.num_vertices)
     amps[spec.cell_slice(x, y)] = 1.0 / math.sqrt(spec.cell_size)
     return WalkState(amps)
 
@@ -279,22 +296,6 @@ def _reflect(
     return out
 
 
-def _unitary_image(amps: np.ndarray) -> WalkState:
-    """The state that reflections of a valid state wrote into ``amps`` (float64
-    on the real route).  Reflections are unitary, so a norm off by more than
-    STATE_NORM_TOL is a broken invariant, not bad input."""
-    norm = _norm(amps)
-    if not abs(norm - 1.0) <= STATE_NORM_TOL:
-        raise InvariantError(
-            f"walk step broke unitarity: state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
-    state = object.__new__(WalkState)  # skips __post_init__'s second norm pass
-    object.__setattr__(state, "amplitudes", amps.astype(np.complex128, copy=False))
-    object.__setattr__(state, "_real", amps if amps.dtype == np.float64 else None)
-    for arr in (amps, state.amplitudes):
-        arr.setflags(write=False)
-    return state
-
-
 def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
     """Apply the reflection operator of a single tessellation."""
     tg = TessellatedGraph(SimpleGraph(state.num_vertices), (tess,))
@@ -310,22 +311,18 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     imports this module, so the type is not imported here): a broken vertex
     detaches from its polygon in every tessellation and leaves the cover,
     and the split-off entries of a broken polygon detach and become
-    singletons.  The step walks the state's float64 buffer when the state
-    and every tessellation are real (a state without one is checked here),
-    and its complex amplitudes otherwise.  Reflections alternate between
-    two buffers, so a step allocates at most two state vectors.
+    singletons.  The step walks in the dtype of the state's buffer, promoted
+    once to complex128 when a tessellation has complex amplitudes.
+    Reflections alternate between two buffers, so a step allocates at most
+    two state vectors.
     """
-    vec = state.amplitudes
+    vec = state._amps
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
-    real = state._real
-    if real is None and not vec.imag.any():
-        real = vec.real.copy()
-    flats = None if real is None else [_flatten(tess, np.float64) for tess in tg.tessellations]
-    if flats is None or None in flats:
+    flats = [_flatten(tess, vec.dtype.type) for tess in tg.tessellations]
+    if None in flats:
+        vec = vec.astype(np.complex128)
         flats = [_flatten(tess) for tess in tg.tessellations]
-    else:
-        vec = real
     vmask = None if plan is None else plan.broken_vertex_mask
     breaks = {} if plan is None else plan.polygon_breaks
     buffers = [np.empty_like(vec) for _ in range(min(2, len(flats)))]
@@ -336,9 +333,7 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
         if tb is not None:
             drop = flat.entry_mask(tb.broken, tb.lone_slot)
         cur = _reflect(flat, cur, buffers[t_idx % 2], drop, split=tb is not None)
-    if cur is vec:
-        cur = vec.copy()
-    return _unitary_image(cur)
+    return WalkState._written(cur)
 
 
 def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
@@ -348,10 +343,14 @@ def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
 
 def renormalize_if_drifting(state: WalkState) -> WalkState:
     """Guard for long loops: fix tiny norm drift, refuse to mask real breakage."""
+    # the complex view's sum adds the same terms in the same order for either
+    # buffer, so a real state and i times it renormalize to equal bits
     norm = _norm(state.amplitudes)
     drift = abs(norm - 1.0)
     if not drift <= _DRIFT_ERROR:
         raise InvariantError(f"walk state norm drifted to {norm!r}")
     if drift > _DRIFT_RENORM:
-        return WalkState(state.amplitudes / norm)
+        # numpy divides a complex vector by a real scalar as a product with
+        # its reciprocal, so a product gives a float64 buffer the same bits
+        return WalkState._written(state._amps * (1.0 / norm))
     return state

@@ -103,7 +103,7 @@ def _check_routes(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generato
     np.testing.assert_allclose(fast.amplitudes, dense, rtol=0, atol=1e-12)
     # the float64 route is taken exactly when the cover and the state are real
     real_cover = not any(tess.amplitudes.imag.any() for tess in tg.tessellations)
-    assert (fast._real is not None) == (real_cover and real_state)
+    assert (fast._amps.dtype == np.float64) == (real_cover and real_state)
 
 
 @settings(max_examples=500)

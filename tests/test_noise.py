@@ -372,11 +372,11 @@ class TestRealRoute:
         for _ in range(3):
             plan = sample_plan(tg, ROUTE_NOISE[noise], rng)
             real, imag = plan_step(plan, real), plan_step(plan, imag)
-            assert real._real is not None and imag._real is None
+            assert real._amps.dtype == np.float64 and imag._amps.dtype == np.complex128
             assert real.amplitudes.dtype == np.complex128
             assert not real.amplitudes.imag.any()
             assert np.array_equal(imag.amplitudes.imag, real.amplitudes.real)
-            assert np.array_equal(real._real, real.amplitudes.real)
+            assert np.array_equal(real._amps, real.amplitudes.real)
 
     @pytest.mark.parametrize("cover", sorted(REAL_COVERS))
     def test_full_breaks_are_exact_identities_on_both_routes(self, cover):
