@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,24 +27,6 @@ from .rng import child_seed
 from .search import SearchConfig, default_step_budget, peak_metrics, run_search
 
 _KIND_BY_FLAG = {"none": "none", "vertices": "break_vertices", "polygons": "break_polygons"}
-
-
-@dataclass(frozen=True)
-class ExperimentManifest:
-    """Header serialized into every output file; equal manifests mean
-    byte-identical files."""
-
-    command: str
-    params: tuple[tuple[str, str], ...]
-    master_seed: int
-    run_seed_lines: tuple[str, ...]
-
-    def lines(self) -> list[str]:
-        out = [f"# sqwsim {__version__}", f"# command: {self.command}"]
-        out.extend(f"# {key}: {value}" for key, value in self.params)
-        out.append(f"# master_seed: {self.master_seed}")
-        out.extend(self.run_seed_lines)
-        return out
 
 
 def _fmt(value) -> str:
@@ -74,12 +55,6 @@ def _parse_list(text: str, what: str, convert: type[int] | type[float]) -> list:
     if not values:
         raise ValueError(f"{what} must not be empty")
     return values
-
-
-def _parse_scope(text: str) -> tuple[int, ...] | None:
-    if text == "all":
-        return None
-    return tuple(_parse_list(text, "--scope", int))
 
 
 def _resolve_seed(args) -> int:
@@ -119,7 +94,7 @@ def _noise_from_args(args, p: float | None = None) -> NoiseSpec:
         return NoiseSpec()
     if p is None:
         raise ValueError(f"--noise {args.noise} requires --p")
-    scope = _parse_scope(args.scope)
+    scope = None if args.scope == "all" else tuple(_parse_list(args.scope, "--scope", int))
     return NoiseSpec(kind=kind, p=p, split_policy=args.split, scope=scope)
 
 
@@ -131,8 +106,36 @@ def _noise_params(args) -> list[tuple[str, str]]:
     ]
 
 
-def _write_text(path: str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _run_params(args, noise: NoiseSpec, cell_key: str, cell: tuple[int, int],
+                steps: int) -> list[tuple[str, str]]:
+    """Manifest parameters of a single-grid command (``evolve``, ``search``)."""
+    return [
+        ("n", str(args.n)),
+        ("q", str(args.q)),
+        (cell_key, f"{cell[0]},{cell[1]}"),
+        *_noise_params(args),
+        ("p", _fmt(0.0 if noise.is_off else noise.p)),
+        ("steps", str(steps)),
+        ("runs", str(args.runs)),
+    ]
+
+
+def _write(path: str, command: str, params: list[tuple[str, str]], seed: int, seed_lines: list[str],
+           body: list[str]) -> None:
+    """Write ``body`` under the manifest header (package version, command,
+    parameters, master seed, per-run seed lines): equal headers mean
+    byte-identical files."""
+    lines = [f"# sqwsim {__version__}", f"# command: {command}"]
+    lines.extend(f"# {key}: {value}" for key, value in params)
+    lines.append(f"# master_seed: {seed}")
+    Path(path).write_text("\n".join(lines + seed_lines + body) + "\n", encoding="utf-8", newline="\n")
+
+
+def _search(cfg: SearchConfig, workers: int):
+    """The runs of one search, their mean success curve and its peak metrics."""
+    series = run_search(cfg, workers=workers)
+    curve = aggregate([s.probabilities for s in series])
+    return series, curve, peak_metrics(curve.mean)
 
 
 def cmd_validate(args) -> int:
@@ -161,31 +164,18 @@ def cmd_evolve(args) -> int:
         workers=_resolve_workers(args),
     )
 
-    params = [
-        ("n", str(args.n)),
-        ("q", str(args.q)),
-        ("origin", f"{origin[0]},{origin[1]}"),
-        *_noise_params(args),
-        ("p", _fmt(0.0 if noise.is_off else noise.p)),
-        ("steps", str(args.steps)),
-        ("runs", str(args.runs)),
-    ]
-    seeds_line = "# run_seeds: " + ",".join(str(s) for s in result.run_seeds)
-    manifest = ExperimentManifest("evolve", tuple(params), seed, (seeds_line,))
-
-    dist_lines = manifest.lines()
-    dist_lines.append(f"# mean cell distribution after step {args.steps}; row = x, column = y")
+    params = _run_params(args, noise, "origin", origin, args.steps)
+    seed_lines = ["# run_seeds: " + ",".join(str(s) for s in result.run_seeds)]
+    dist = [f"# mean cell distribution after step {args.steps}; row = x, column = y"]
     for row in result.mean_distribution.probabilities:
-        dist_lines.append(",".join(_fmt(v) for v in row))
-    _write_text(args.out_dist, dist_lines)
-
-    std_lines = manifest.lines()
-    std_lines.append("step,mean_sigma,ci_halfwidth,classical_sigma")
+        dist.append(",".join(_fmt(v) for v in row))
+    _write(args.out_dist, "evolve", params, seed, seed_lines, dist)
+    std = ["step,mean_sigma,ci_halfwidth,classical_sigma"]
     for t in range(args.steps + 1):
-        std_lines.append(
+        std.append(
             f"{t},{_fmt(result.sigma.mean[t])},{_fmt(result.sigma.ci_halfwidth[t])},{_fmt(result.classical_sigma[t])}"
         )
-    _write_text(args.out_std, std_lines)
+    _write(args.out_std, "evolve", params, seed, seed_lines, std)
 
     print(f"wrote {args.out_dist} and {args.out_std}")
     return 0
@@ -204,30 +194,16 @@ def cmd_search(args) -> int:
         runs=args.runs,
         master_seed=seed,
     )
-    series = run_search(cfg, workers=_resolve_workers(args))
-    agg = aggregate([s.probabilities for s in series])
-    summary = peak_metrics(agg.mean)
-
-    params = [
-        ("n", str(args.n)),
-        ("q", str(args.q)),
-        ("marked", f"{marked[0]},{marked[1]}"),
-        *_noise_params(args),
-        ("p", _fmt(0.0 if noise.is_off else noise.p)),
-        ("steps", str(cfg.max_steps)),
-        ("runs", str(args.runs)),
-    ]
-    seeds_line = "# run_seeds: " + ",".join(str(s.run_seed) for s in series)
-    manifest = ExperimentManifest("search", tuple(params), seed, (seeds_line,))
-
-    lines = manifest.lines()
-    lines.append("step,mean_success,ci_halfwidth")
+    series, agg, summary = _search(cfg, _resolve_workers(args))
+    lines = ["step,mean_success,ci_halfwidth"]
     for t in range(cfg.max_steps + 1):
         lines.append(f"{t},{_fmt(agg.mean[t])},{_fmt(agg.ci_halfwidth[t])}")
     lines.append(f"# t_peak: {summary.t_peak}")
     lines.append(f"# p_peak: {_fmt(summary.p_peak)}")
     lines.append(f"# running_time: {_fmt(summary.running_time)}")
-    _write_text(args.out, lines)
+    params = _run_params(args, noise, "marked", marked, cfg.max_steps)
+    seed_lines = ["# run_seeds: " + ",".join(str(s.run_seed) for s in series)]
+    _write(args.out, "search", params, seed, seed_lines, lines)
 
     print(
         f"t_peak={summary.t_peak} p_peak={_fmt(summary.p_peak)} "
@@ -263,10 +239,8 @@ def cmd_sweep(args) -> int:
                     runs=args.runs,
                     master_seed=combo_seed,
                 )
-                series = run_search(cfg, workers=workers)
+                series, _, summary = _search(cfg, workers)
                 peaks = aggregate([[s.probabilities.max()] for s in series])
-                curve = aggregate([s.probabilities for s in series])
-                summary = peak_metrics(curve.mean)
 
                 label = f"n={n},q={q},p={_fmt(p)}"
                 run_seeds = ",".join(str(s.run_seed) for s in series)
@@ -286,11 +260,8 @@ def cmd_sweep(args) -> int:
         ("steps_factor", _fmt(args.steps_factor)),
         ("runs", str(args.runs)),
     ]
-    manifest = ExperimentManifest("sweep", tuple(params), seed, tuple(seed_lines))
-    lines = manifest.lines()
-    lines.append("n,q,p,mean_p_peak,ci_halfwidth,t_peak,running_time")
-    lines.extend(rows)
-    _write_text(args.out, lines)
+    header = "n,q,p,mean_p_peak,ci_halfwidth,t_peak,running_time"
+    _write(args.out, "sweep", params, seed, seed_lines, [header, *rows])
 
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -330,17 +301,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default: CPU count); results do not depend on this",
     )
 
+    grid_parent = argparse.ArgumentParser(add_help=False)
+    grid_parent.add_argument("--n", type=int, required=True, help="grid width")
+    grid_parent.add_argument("--q", type=int, default=1, help="cell cliques have 4q vertices")
+
     p_validate = sub.add_parser("validate", help="check a tessellation cover file against a graph")
     p_validate.add_argument("--graph", required=True, help="edge-list file: 'V E' header, then 'u v' lines")
     p_validate.add_argument("--cover", required=True, help="cover file: 't v1 ... vm' polygon lines")
     p_validate.set_defaults(func=cmd_validate)
 
     p_evolve = sub.add_parser(
-        "evolve", parents=[noise_parent, run_parent],
+        "evolve", parents=[noise_parent, run_parent, grid_parent],
         help="spread of a localized walker on the grid of cliques",
     )
-    p_evolve.add_argument("--n", type=int, required=True, help="grid width")
-    p_evolve.add_argument("--q", type=int, default=1, help="cell cliques have 4q vertices")
     p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--origin", default="0,0", help="start cell 'x,y'")
     p_evolve.add_argument("--out-dist", required=True, help="CSV: mean final cell distribution")
@@ -348,11 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.set_defaults(func=cmd_evolve)
 
     p_search = sub.add_parser(
-        "search", parents=[noise_parent, run_parent],
+        "search", parents=[noise_parent, run_parent, grid_parent],
         help="search for a marked cell via its missing polygon",
     )
-    p_search.add_argument("--n", type=int, required=True, help="grid width")
-    p_search.add_argument("--q", type=int, default=1, help="cell cliques have 4q vertices")
     p_search.add_argument("--marked", default="0,0", help="marked cell 'x,y'")
     p_search.add_argument(
         "--steps", type=int, default=None,
@@ -389,7 +360,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 Each tessellation T induces the orthogonal reflection
 U_T = 2 * sum_j |P_j><P_j| - I over its polygon states, and one walk step
 applies the tessellations of a cover in index order.  Tessellations are
-compiled once into flat arrays so a reflection costs a few vectorized passes
+compiled into flat arrays so a reflection costs a few vectorized passes
 over the covered entries instead of a Python loop over polygons.  When all P
 polygons of a tessellation have the same size m (both tessellations of the
 grid of cliques, the coin tessellation of a regular graph) the entries form
@@ -18,8 +18,10 @@ leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
 split off a broken polygon).  The compiled layout is private to this module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
-holds one float64 buffer, which steps walk (layouts are compiled per dtype)
-and observables read; complex amplitudes are built only when read.
+holds one float64 buffer, which steps walk and observables read; complex
+amplitudes are built only when read.  A tessellation is compiled once per
+thread, in float64 when its amplitudes are real, and reflects a complex
+vector's real and imaginary parts one after the other.
 
 The step loop makes no BLAS call: the unit-norm check that every new state
 passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
@@ -28,6 +30,7 @@ spins between steps.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from weakref import WeakKeyDictionary
@@ -140,14 +143,15 @@ class _FlatTessellation:
     of cliques: the covered entries are then a view of the state's leading
     E entries, read and written in place.
 
-    ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 in a
-    layout compiled for the real route, complex128 otherwise.  ``terms``
+    ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 when
+    every amplitude of the tessellation is real, complex128 otherwise.  ``terms``
     holds the per-entry products of a reflection, and ``gathered`` (when
     ``index`` is set) its gathered input and its result.  Every reflection
     reuses them, so a step allocates no entry-sized temporaries: the
     allocator may hand freed temporaries back to the system and fault their
     pages in again on the next step (about 750 minor faults per step on the
-    grid at N = 40,000).
+    grid at N = 40,000).  Since every reflection writes them, a layout
+    belongs to the thread that compiled it.
     """
 
     order: np.ndarray
@@ -201,20 +205,23 @@ class _FlatTessellation:
         return mask
 
 
-_flat_cache: "WeakKeyDictionary[Tessellation, dict[type, _FlatTessellation | None]]" = WeakKeyDictionary()
+class _Layouts(threading.local):
+    def __init__(self):
+        self.by_tess: "WeakKeyDictionary[Tessellation, _FlatTessellation]" = WeakKeyDictionary()
 
 
-def _flatten(tess: Tessellation, dtype: type = np.complex128) -> _FlatTessellation | None:
-    """The layout of ``tess`` compiled for ``dtype``, cached per (tessellation,
-    dtype); None for float64 when an amplitude has a nonzero imaginary part."""
-    compiled = _flat_cache.setdefault(tess, {})
-    if dtype in compiled:
-        return compiled[dtype]
+#: Each thread's compiled layouts, since every reflection writes its layout's scratch.
+_layouts = _Layouts()
+
+
+def _flatten(tess: Tessellation) -> _FlatTessellation:
+    """The layout of ``tess``, compiled once per thread: float64 when every
+    amplitude is real, complex128 otherwise."""
+    flat = _layouts.by_tess.get(tess)
+    if flat is not None:
+        return flat
     order, starts, amps = tess.vertices, tess.starts, tess.amplitudes
-    if dtype is np.float64:
-        if amps.imag.any():
-            compiled[dtype] = None
-            return None
+    if not amps.imag.any():
         amps = np.ascontiguousarray(amps.real)
     sizes = tess.sizes
     amps2 = amps.real**2 + amps.imag**2
@@ -237,10 +244,10 @@ def _flatten(tess: Tessellation, dtype: type = np.complex128) -> _FlatTessellati
         amps=laid_out(amps),
         conj_amps=laid_out(np.conj(amps)),
         amps2=laid_out(amps2),
-        terms=np.empty(shape, dtype=dtype),
-        gathered=None if in_place else np.empty((2,) + shape, dtype=dtype),
+        terms=np.empty(shape, dtype=amps.dtype),
+        gathered=None if in_place else np.empty((2,) + shape, dtype=amps.dtype),
     )
-    compiled[dtype] = flat
+    _layouts.by_tess[tess] = flat
     return flat
 
 
@@ -252,7 +259,8 @@ def _reflect(
     split: bool = False,
 ) -> np.ndarray:
     """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by a per-entry
-    mask broadcastable to ``flat.shape``.  ``out`` must not alias ``vec``.
+    mask broadcastable to ``flat.shape``.  ``vec`` and ``out`` have the
+    layout's dtype (they may be strided views); ``out`` must not alias ``vec``.
 
     Entries marked in ``drop`` detach from their polygon, whose surviving
     block is renormalized by the per-polygon survivor weight (the sum of
@@ -312,17 +320,18 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     detaches from its polygon in every tessellation and leaves the cover,
     and the split-off entries of a broken polygon detach and become
     singletons.  The step walks in the dtype of the state's buffer, promoted
-    once to complex128 when a tessellation has complex amplitudes.
+    once to complex128 when a tessellation has complex amplitudes.  A real
+    tessellation reflects the real and imaginary parts of a complex vector
+    one after the other, so only complex tessellations run in complex128.
     Reflections alternate between two buffers, so a step allocates at most
     two state vectors.
     """
     vec = state._amps
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
-    flats = [_flatten(tess, vec.dtype.type) for tess in tg.tessellations]
-    if None in flats:
-        vec = vec.astype(np.complex128)
-        flats = [_flatten(tess) for tess in tg.tessellations]
+    flats = [_flatten(tess) for tess in tg.tessellations]
+    if any(flat.amps.dtype == np.complex128 for flat in flats):
+        vec = vec.astype(np.complex128, copy=False)
     vmask = None if plan is None else plan.broken_vertex_mask
     breaks = {} if plan is None else plan.polygon_breaks
     buffers = [np.empty_like(vec) for _ in range(min(2, len(flats)))]
@@ -332,7 +341,13 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
         tb = breaks.get(t_idx)
         if tb is not None:
             drop = flat.entry_mask(tb.broken, tb.lone_slot)
-        cur = _reflect(flat, cur, buffers[t_idx % 2], drop, split=tb is not None)
+        split, out = tb is not None, buffers[t_idx % 2]
+        if cur.dtype == flat.amps.dtype:
+            _reflect(flat, cur, out, drop, split)
+        else:
+            _reflect(flat, cur.real, out.real, drop, split)
+            _reflect(flat, cur.imag, out.imag, drop, split)
+        cur = out
     return WalkState._written(cur)
 
 

@@ -25,6 +25,8 @@ import numpy as np
 
 #: Tolerance on unit-norm checks for polygon amplitude vectors.
 NORM_TOL = 1e-12
+#: The most vertices whose pair keys u * n + v fit in an int64 (n * n - 1 < 2**63).
+_MAX_VERTICES = math.isqrt(2**63)
 
 
 class ParseError(ValueError):
@@ -54,7 +56,8 @@ class SimpleGraph:
 
     ``edge_array`` holds each edge once as a row (u, v) with u < v, rows in
     ascending order, and ``_keys`` the matching sorted keys
-    u * num_vertices + v.  Any iterable of pairs, or an (E, 2) integer
+    u * num_vertices + v, which fit in an int64 because a graph has at most
+    3,037,000,499 vertices.  Any iterable of pairs, or an (E, 2) integer
     array, is normalized on construction, and a pair given twice is kept
     once.  ``edges`` gives the same edges as a frozenset of tuples, built on
     first read.
@@ -65,8 +68,8 @@ class SimpleGraph:
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         n = int(num_vertices)
-        if n < 0:
-            raise ValueError("num_vertices must be non-negative")
+        if not 0 <= n <= _MAX_VERTICES:
+            raise ValueError(f"num_vertices must be in [0, {_MAX_VERTICES}], got {n}")
         pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
@@ -499,6 +502,8 @@ def read_graph(text: str) -> SimpleGraph:
         raise ParseError(header_no, f"non-integer header fields in {header!r}") from None
     if num_vertices < 0 or num_edges < 0:
         raise ParseError(header_no, "vertex and edge counts must be non-negative")
+    if num_vertices > _MAX_VERTICES:
+        raise ParseError(header_no, f"at most {_MAX_VERTICES} vertices are supported, got {num_vertices}")
 
     body = lines[1:]
     if len(body) != num_edges:
@@ -528,7 +533,7 @@ def read_graph(text: str) -> SimpleGraph:
 def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
     """Parse a cover file: each line "t v1 v2 ... vm" adds a uniform polygon
     to tessellation t.  Tessellation indices must be contiguous from 0."""
-    by_tess: dict[int, tuple[list[int], list[int]]] = {}
+    by_tess: dict[int, tuple[list[int], list[int], set[int]]] = {}
     first_line_of: dict[int, int] = {}
     for line_no, line in _significant_lines(text):
         parts = line.split()
@@ -541,12 +546,17 @@ def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
         t_idx, verts = fields[0], fields[1:]
         if t_idx < 0:
             raise ParseError(line_no, f"negative tessellation index {t_idx}")
-        if len(set(verts)) != len(verts):
+        polygon = set(verts)
+        if len(polygon) != len(verts):
             raise ParseError(line_no, "duplicate vertex within polygon")
         for v in verts:
             if not 0 <= v < g.num_vertices:
                 raise ParseError(line_no, f"vertex {v} out of range for {g.num_vertices} vertices")
-        covered, sizes = by_tess.setdefault(t_idx, ([], []))
+        covered, sizes, seen = by_tess.setdefault(t_idx, ([], [], set()))
+        if not seen.isdisjoint(polygon):
+            vertex = next(v for v in verts if v in seen)
+            raise ParseError(line_no, f"vertex {vertex} already covered in tessellation {t_idx}")
+        seen |= polygon
         covered.extend(verts)
         sizes.append(len(verts))
         first_line_of.setdefault(t_idx, line_no)
@@ -562,7 +572,7 @@ def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
 
     tessellations = []
     for t_idx in range(top + 1):
-        covered, sizes = by_tess[t_idx]
+        covered, sizes, _ = by_tess[t_idx]
         sizes = np.array(sizes, dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(sizes)))
         amplitudes = np.repeat(1.0 / np.sqrt(sizes), sizes)

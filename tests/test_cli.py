@@ -45,6 +45,19 @@ class TestValidateCommand:
         assert rc == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_overlapping_cover_names_its_line(self, grid_files, capsys):
+        graph, cover = grid_files
+        cover.write_text("0 0 1\n0 1 2\n")
+        assert main(["validate", "--graph", str(graph), "--cover", str(cover)]) == 2
+        assert capsys.readouterr().err == "error: line 2: vertex 1 already covered in tessellation 0\n"
+
+    def test_vertex_count_beyond_int64_keys_exits_2(self, grid_files, capsys):
+        graph, cover = grid_files
+        graph.write_text("5000000000 1\n4000000000 4000000001\n")
+        assert main(["validate", "--graph", str(graph), "--cover", str(cover)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: at most 3037000499 vertices are supported, got 5000000000\n")
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = main(["validate", "--graph", str(tmp_path / "no.graph"), "--cover", str(tmp_path / "no.cover")])
         assert rc == 2
@@ -239,6 +252,24 @@ class TestSweepCommand:
         rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--scope", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err == "error: --scope requires --noise polygons\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--n", "1000000", "--steps", "3", "--out-dist", "d.csv", "--out-std", "s.csv"],
+        ["search", "--n", "1000000", "--out", "s.csv"],
+        ["sweep", "--n-list", "1000000", "--p-list", "0", "--out", "w.csv"],
+    ],
+    ids=["evolve", "search", "sweep"],
+)
+def test_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # the 4e12-vertex cover's first array (7.28 TiB) is refused at once
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--workers", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestParserErrors:

@@ -59,7 +59,10 @@ def _tessellation(rng: np.random.Generator, layout: str, num: int, real: bool) -
 
 
 def _cover(rng: np.random.Generator, layouts: list[str], num: int, real: bool) -> TessellatedGraph:
-    tessellations = tuple(_tessellation(rng, layout, num, real) for layout in layouts)
+    return _cover_of(num, tuple(_tessellation(rng, layout, num, real) for layout in layouts))
+
+
+def _cover_of(num: int, tessellations: tuple[Tessellation, ...]) -> TessellatedGraph:
     edges = {
         (int(min(a, b)), int(max(a, b)))
         for tess in tessellations
@@ -130,3 +133,19 @@ def test_real_route_matches_materialized_cover_and_dense_oracle(layout, kind):
         tg = _cover(rng, [layout, other], int(rng.integers(2, 13)), real=True)
         for spec in specs:
             _check_routes(tg, spec, rng, real_state=True)
+
+
+@pytest.mark.parametrize("real_state", [True, False])
+@pytest.mark.parametrize("realness", [(True, False), (False, True), (True, False, True)])
+def test_mixed_covers_match_materialized_cover_and_dense_oracle(realness, real_state):
+    # a cover with real and complex tessellations walks in complex128, with
+    # each real tessellation reflecting the real and imaginary parts alone
+    specs = [NoiseSpec(), NoiseSpec(kind="break_vertices", p=0.5)]
+    specs += [NoiseSpec(kind="break_polygons", p=0.5, split_policy=split) for split in SPLIT_POLICIES]
+    for seed, layout in enumerate(LAYOUTS[:-1]):
+        rng = np.random.default_rng([seed, len(realness), realness[0], real_state])
+        num = int(rng.integers(2, 13))
+        tessellations = tuple(_tessellation(rng, layout, num, real) for real in realness)
+        tg = _cover_of(num, tessellations)
+        for spec in specs:
+            _check_routes(tg, spec, rng, real_state)

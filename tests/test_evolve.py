@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from sqwsim.graph import (
     coined_to_staggered,
     make_grid_of_cliques,
 )
-from sqwsim.noise import NoiseSpec, _trajectory
+from sqwsim.noise import SPLIT_POLICIES, NoiseSpec, _trajectory, plan_step, sample_plan
 from sqwsim.search import partial_cover
 
 
@@ -161,10 +163,47 @@ class TestCompiledLayout:
         arrays = [s.amplitudes for s in states] + [s._amps for s in states if s._amps.dtype == np.float64]
         assert len(arrays) == len(states) + 4
         for tess in tg.tessellations:
-            for dtype in (np.complex128, np.float64):
-                flat = _flatten(tess, dtype)
-                scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
-                assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
+            flat = _flatten(tess)
+            scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
+            assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
+
+    def test_real_tessellation_has_one_float64_layout(self):
+        # complex and real states walk the same compiled layout
+        tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
+        flats = [_flatten(tess) for tess in tg.tessellations]
+        assert all(f.amps.dtype == f.terms.dtype == np.float64 for f in flats)
+        rng = np.random.default_rng(9)
+        step(tg, WalkState(random_state(rng, tg.num_vertices)))
+        step(tg, uniform_state(tg.num_vertices))
+        assert all(_flatten(tess) is flat for tess, flat in zip(tg.tessellations, flats))
+
+    def test_complex_tessellation_has_a_complex_layout(self):
+        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])),))
+        assert _flatten(tess).amps.dtype == _flatten(tess).terms.dtype == np.complex128
+
+    def test_threads_stepping_one_cover_match_their_serial_walks(self):
+        # each thread compiles its own layout, so no thread writes into the
+        # scratch arrays of a reflection running in another
+        tg = make_grid_of_cliques(GridSpec(100, 1))
+        rng = np.random.default_rng(10)
+        starts = [WalkState(v / np.linalg.norm(v)) for v in rng.normal(size=(4, tg.num_vertices))]
+
+        def walk(state):
+            for _ in range(30):
+                state = step(tg, state)
+            return state._amps
+
+        serial = [walk(state) for state in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(walk, state) for state in starts]
+                threaded = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for alone, together in zip(serial, threaded):
+            assert together.tobytes() == alone.tobytes()
 
 
 class TestStep:
@@ -202,6 +241,27 @@ class TestStep:
         tg = make_grid_of_cliques(GridSpec(2, 1))
         with pytest.raises(ValueError, match="entries"):
             step(tg, uniform_state(8))
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(), NoiseSpec(kind="break_vertices", p=0.3)]
+        + [NoiseSpec(kind="break_polygons", p=0.3, split_policy=split) for split in SPLIT_POLICIES],
+        ids=["none", "vertices", *SPLIT_POLICIES],
+    )
+    @pytest.mark.parametrize("spec", [GridSpec(3, 1), GridSpec(3, 3)])
+    def test_complex_state_on_a_real_cover_walks_its_parts_alone(self, monkeypatch, spec, noise):
+        # a real reflection is real-linear, so the step of a + ib is the step
+        # of a plus i times the step of b, to the bit; the parts are not unit
+        # vectors, so the norm check is lifted for them
+        monkeypatch.setattr("sqwsim.evolve.STATE_NORM_TOL", np.inf)
+        tg = partial_cover(make_grid_of_cliques(spec), (1, 2))
+        rng = np.random.default_rng(11)
+        plan = None if noise.is_off else sample_plan(tg, noise, rng)
+        walk = (lambda s: step(tg, s)) if plan is None else (lambda s: plan_step(plan, s))
+        psi = random_state(rng, tg.num_vertices)
+        out = walk(WalkState(psi)).amplitudes
+        assert out.real.tobytes() == walk(WalkState(psi.real))._amps.tobytes()
+        assert out.imag.tobytes() == walk(WalkState(psi.imag))._amps.tobytes()
 
     def test_does_not_mutate_input(self):
         tg = make_grid_of_cliques(GridSpec(2, 1))

@@ -181,6 +181,14 @@ class TestSimpleGraph:
         with pytest.raises(ValueError, match="pairs"):
             SimpleGraph(3, np.array([[0, 1, 2]]))
 
+    def test_edge_keys_fit_in_int64_up_to_the_vertex_bound(self):
+        n = 3_037_000_499  # the largest n with n * n - 1 < 2**63
+        g = SimpleGraph(n, [(n - 1, n - 2)])
+        assert g.edge_array.tolist() == [[n - 2, n - 1]]
+        assert g.has_edge(n - 2, n - 1) and not g.has_edge(n - 3, n - 1)
+        with pytest.raises(ValueError, match=rf"num_vertices must be in \[0, {n}\], got {n + 1}"):
+            SimpleGraph(n + 1, [(n - 1, n)])
+
     def test_no_edges(self):
         for g in (SimpleGraph(0), SimpleGraph(3, frozenset()), SimpleGraph(3, np.empty((0, 2), int))):
             assert g.edges == frozenset()
@@ -489,6 +497,11 @@ class TestGraphIO:
         with pytest.raises(ParseError):
             read_graph("nope\n")
 
+    def test_read_graph_rejects_vertex_counts_beyond_int64_keys(self):
+        with pytest.raises(ParseError, match="at most 3037000499 vertices are supported, got 5000000000") as err:
+            read_graph("# header next\n5000000000 1\n4000000000 4000000001\n")
+        assert err.value.line_no == 2
+
     def test_read_cover_basic(self):
         g = SimpleGraph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))
         tg = read_cover("0 0 1 2 3\n", g)
@@ -509,8 +522,25 @@ class TestGraphIO:
 
     def test_read_cover_rejects_overlap(self):
         g = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match="vertex 1 already covered in tessellation 0") as err:
             read_cover("0 0 1\n0 1 2\n", g)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "text,line_no,tess",
+        [
+            # another tessellation's lines come in between
+            ("0 0 1\n1 1 2\n1 0\n0 3\n0 2 1\n", 5, 0),
+            ("1 0 1\n0 2 3\n1 2\n0 0 1\n1 3 2\n", 5, 1),
+            # both overlap: the first line in the file is named, not the lowest tessellation
+            ("0 0 1\n1 0 1\n1 1 2\n0 2 3\n0 3\n", 3, 1),
+        ],
+    )
+    def test_read_cover_names_the_first_overlapping_line(self, text, line_no, tess):
+        g = SimpleGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        with pytest.raises(ParseError, match=f"already covered in tessellation {tess}") as err:
+            read_cover(text, g)
+        assert err.value.line_no == line_no
 
     def test_roundtrip_is_canonical_fixed_point(self):
         tg = make_grid_of_cliques(GridSpec(3, 2))
