@@ -216,7 +216,9 @@ _layouts = _Layouts()
 
 def _flatten(tess: Tessellation) -> _FlatTessellation:
     """The layout of ``tess``, compiled once per thread: float64 when every
-    amplitude is real, complex128 otherwise."""
+    amplitude is real, complex128 otherwise.  ``Tessellation`` refuses any
+    entry with |a|^2 below the least normal float, so each block a plan
+    leaves has a finite renormalizing factor."""
     flat = _layouts.by_tess.get(tess)
     if flat is not None:
         return flat
@@ -225,9 +227,6 @@ def _flatten(tess: Tessellation) -> _FlatTessellation:
         amps = np.ascontiguousarray(amps.real)
     sizes = tess.sizes
     amps2 = amps.real**2 + amps.imag**2
-    if not np.all(amps2 > 0.0):
-        # Breaking such a polygon could leave a block that cannot be renormalized.
-        raise ValueError("polygon entry with zero amplitude cannot be compiled")
     m = int(sizes[0]) if sizes.size and np.all(sizes == sizes[0]) else 0
 
     def laid_out(entries: np.ndarray) -> np.ndarray:

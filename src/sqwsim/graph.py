@@ -25,6 +25,8 @@ import numpy as np
 
 #: Tolerance on unit-norm checks for polygon amplitude vectors.
 NORM_TOL = 1e-12
+#: The least |a|^2 of a polygon entry (the least normal float64): 2 / |a|^2 stays finite.
+_MIN_AMP2 = float(np.finfo(np.float64).tiny)
 #: The most vertices whose pair keys u * n + v fit in an int64 (n * n - 1 < 2**63).
 _MAX_VERTICES = math.isqrt(2**63)
 
@@ -50,6 +52,17 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered if fresh.all() else ordered[fresh]
 
 
+def _as_int64(values, what: str) -> np.ndarray:
+    """``values`` as contiguous int64, refusing a value the cast changes (0.5, 1e20; not 2.0)."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = np.asarray(given, dtype=np.int64, order="C")
+    if given.dtype.kind != "i" and not np.array_equal(ints, given):
+        bad = given.ravel()[np.flatnonzero(ints.ravel() != given.ravel())[0]]
+        raise ValueError(f"{what} must be integers, got {bad.item()!r}")
+    return ints
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class SimpleGraph:
     """Undirected simple graph on vertices 0..num_vertices-1.
@@ -70,7 +83,7 @@ class SimpleGraph:
         n = int(num_vertices)
         if not 0 <= n <= _MAX_VERTICES:
             raise ValueError(f"num_vertices must be in [0, {_MAX_VERTICES}], got {n}")
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = _as_int64(edges if isinstance(edges, np.ndarray) else list(edges), "edge endpoints")
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -108,9 +121,6 @@ class SimpleGraph:
         slot = int(np.searchsorted(self._keys, key))
         return slot < self._keys.size and int(self._keys[slot]) == key
 
-    def degree_sequence(self) -> np.ndarray:
-        return np.bincount(self.edge_array.ravel(), minlength=self.num_vertices).astype(np.int64)
-
     def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Both directions of every edge as (tails, heads), sorted by tail, then head."""
         e = self.edge_array
@@ -119,18 +129,15 @@ class SimpleGraph:
         order = np.lexsort((heads, tails))
         return tails[order], heads[order]
 
-    def neighbors(self) -> list[list[int]]:
-        """Adjacency lists with each neighborhood sorted ascending."""
-        tails, heads = self._arcs()
-        bounds = np.searchsorted(tails, np.arange(self.num_vertices + 1)).tolist()
-        return [heads[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
-
 
 def _checked_polygons(vertices, starts, amplitudes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flat arrays of ``Tessellation``'s layout, checked as a whole and
-    returned read-only as int64, int64 and complex128."""
-    verts = np.ascontiguousarray(vertices, dtype=np.int64)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    returned read-only as int64, int64 and complex128.  The one check of
+    polygon entries: each needs |a|^2 >= _MIN_AMP2, since a break could
+    otherwise leave a block with no norm to renormalize.  That refuses 0,
+    1e-170 (its square underflows) and 1e-155 (2 / |a|^2 overflows)."""
+    verts = _as_int64(vertices, "vertex indices")
+    starts = _as_int64(starts, "polygon starts")
     amps = np.ascontiguousarray(amplitudes, dtype=np.complex128)
     if verts.ndim != 1 or amps.shape != verts.shape:
         raise ValueError("vertices and amplitudes must be parallel 1-d arrays")
@@ -147,10 +154,15 @@ def _checked_polygons(vertices, starts, amplitudes) -> tuple[np.ndarray, np.ndar
             if _sorted_distinct(keyed).size != keyed.size:
                 raise ValueError("duplicate vertex in polygon")
             raise ValueError("tessellation polygons overlap")
-        norm2 = np.add.reduceat(amps.real**2 + amps.imag**2, starts[:-1])
+        amps2 = amps.real**2 + amps.imag**2
+        norm2 = np.add.reduceat(amps2, starts[:-1])
         bad = np.flatnonzero(~(np.abs(norm2 - 1.0) <= NORM_TOL))
         if bad.size:
             raise ValueError(f"polygon amplitudes have squared norm {float(norm2[bad[0]])!r}, expected 1")
+        bad = np.flatnonzero(~(amps2 >= _MIN_AMP2))
+        if bad.size:
+            vertex = int(verts[bad[0]])
+            raise ValueError(f"polygon entry at vertex {vertex} has zero amplitude (|a|^2 < {_MIN_AMP2:.2g})")
     for arr in (verts, starts, amps):
         arr.setflags(write=False)
     return verts, starts, amps
@@ -160,27 +172,24 @@ def _checked_polygons(vertices, starts, amplitudes) -> tuple[np.ndarray, np.ndar
 class Polygon:
     """A clique with a unit-norm amplitude vector over its vertices.
 
-    ``vertices`` and ``amplitudes`` are parallel arrays; the induced state is
-    sum_i amplitudes[i] |vertices[i]>.  Vertices must be distinct and the
-    amplitude vector must have unit norm within NORM_TOL.
+    ``vertices`` and ``amplitudes`` are parallel 1-d arrays; the induced state
+    is sum_i amplitudes[i] |vertices[i]>.  ``_checked_polygons`` checks them:
+    distinct integer vertices, unit norm within NORM_TOL, no zero entry.
     """
 
     vertices: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        size = np.size(self.vertices)
-        if np.ndim(self.vertices) != 1 or size == 0:
-            raise ValueError("a polygon needs a non-empty 1-d vertex array")
-        verts, _, amps = _checked_polygons(self.vertices, [0, size], self.amplitudes)
+        verts, _, amps = _checked_polygons(self.vertices, [0, np.size(self.vertices)], self.amplitudes)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def uniform(cls, vertices: Iterable[int]) -> "Polygon":
-        """Uniform real amplitudes 1/sqrt(m) over m vertices."""
-        verts = np.asarray(list(vertices), dtype=np.int64)
-        amps = np.full(verts.shape, 1.0 / math.sqrt(verts.size), dtype=np.complex128)
+        """Uniform real amplitudes 1/sqrt(m) over m vertices; the checker refuses m = 0."""
+        verts = np.asarray(list(vertices))
+        amps = np.full(verts.shape, 1.0 / math.sqrt(verts.size or 1), dtype=np.complex128)
         return cls(verts, amps)
 
     @classmethod
@@ -584,9 +593,13 @@ def write_cover(tg: TessellatedGraph) -> str:
     """Serialize a uniform-amplitude cover in canonical form.
 
     Canonical form sorts vertices ascending within each polygon and orders
-    polygons by their least vertex; the file format carries no amplitudes,
-    so non-uniform covers are rejected.
+    polygons by their least vertex.  The file format carries no amplitudes,
+    and a tessellation only as its polygons' lines, so non-uniform covers and
+    covers with no tessellation or an empty one, which ``read_cover`` could
+    not read back, are rejected.
     """
+    if not tg.tessellations or min(t.num_polygons for t in tg.tessellations) == 0:
+        raise ValueError("cover files need at least one tessellation, and no empty one")
     out_lines = []
     for t_idx, tess in enumerate(tg.tessellations):
         rows = []

@@ -57,10 +57,6 @@ class DenseUnitary:
         mat.setflags(write=False)
         object.__setattr__(self, "entries", mat)
 
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
-
 
 def reference_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     """The cover of :func:`sqwsim.graph.make_grid_of_cliques`, built one
@@ -97,7 +93,8 @@ def break_polygon(poly: Polygon, partition: Sequence[Sequence[int]]) -> tuple[Po
     """Split a polygon along a vertex partition, renormalizing each block.
 
     A block's new amplitudes are the old ones divided by the block norm
-    beta = sqrt(sum of |amplitude|^2 over the block); beta = 0 is an error.
+    beta = sqrt(sum of |amplitude|^2 over the block), which is positive
+    because no polygon entry has |a|^2 below the least normal float.
     """
     pos_of = {int(v): i for i, v in enumerate(poly.vertices)}
     seen: set[int] = set()
@@ -115,10 +112,7 @@ def break_polygon(poly: Polygon, partition: Sequence[Sequence[int]]) -> tuple[Po
         if not idx:
             raise ValueError("empty block in partition")
         amps = poly.amplitudes[idx]
-        beta = float(np.linalg.norm(amps))
-        if beta == 0.0:
-            raise ValueError("block carries zero amplitude and cannot be renormalized")
-        out.append(Polygon(poly.vertices[idx], amps / beta))
+        out.append(Polygon(poly.vertices[idx], amps / np.linalg.norm(amps)))
     if len(seen) != poly.size:
         raise ValueError("partition does not cover the whole polygon")
     return tuple(out)
@@ -139,31 +133,21 @@ def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> Tessellate
     mask = np.zeros(tg.num_vertices, dtype=bool)
     mask[idx] = True
 
-    new_tess: list[Tessellation] = []
-    changed_any = False
+    new_tess = []
     for tess in tg.tessellations:
-        new_polys = []
-        changed = False
-        for poly in tess.polygons:
-            hit = mask[poly.vertices]
-            if not hit.any():
-                new_polys.append(poly)
-                continue
-            changed = True
-            keep = ~hit
-            if not keep.any():
-                continue
-            amps = poly.amplitudes[keep]
-            beta = float(np.linalg.norm(amps))
-            if beta == 0.0:
-                raise ValueError("surviving block carries zero amplitude")
-            new_polys.append(Polygon(poly.vertices[keep], amps / beta))
-        if changed:
-            new_tess.append(Tessellation(tuple(new_polys)))
-            changed_any = True
-        else:
+        if not mask[tess.vertices].any():
             new_tess.append(tess)
-    if not changed_any:
+            continue
+        new_polys = []
+        for poly in tess.polygons:
+            keep = ~mask[poly.vertices]
+            if keep.all():
+                new_polys.append(poly)
+            elif keep.any():
+                amps = poly.amplitudes[keep]
+                new_polys.append(Polygon(poly.vertices[keep], amps / np.linalg.norm(amps)))
+        new_tess.append(Tessellation(tuple(new_polys)))
+    if all(new is old for new, old in zip(new_tess, tg.tessellations)):
         return tg
     return TessellatedGraph(tg.graph, tuple(new_tess))
 

@@ -2,6 +2,7 @@
 outputs against another commit: its tree comparison, its exit code for a
 commit it cannot export, and the cleanup of its temporary directory."""
 import importlib.util
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -50,12 +51,26 @@ def test_unknown_ref_exits_2_and_leaves_no_temporary_directory(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
-def test_compared_run_leaves_no_temporary_directory(tmp_path, monkeypatch, capsys):
-    # the CLI calls are replaced by one that writes the same bytes for both trees
+def _one_commit_repo(root: Path) -> Path:
+    """A git repository at ``root`` holding one commit of one file."""
+    _tree(root, {"README.md": b"one commit\n"})
+    git = ["git", "-C", str(root), "-c", "user.name=test", "-c", "user.email=test@example.com"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "README.md"], check=True)
+    subprocess.run([*git, "-c", "commit.gpgsign=false", "commit", "-q", "-m", "one commit"], check=True)
+    return root
+
+
+def test_compared_run_leaves_no_temporary_directory(tmp_path, tmp_path_factory, monkeypatch, capsys):
+    # a repository of its own stands in for the checkout, and the input
+    # files and CLI calls are replaced by stubs that write the same bytes
+    # for both trees
     def run_all(tree, outdir, calls):
         _tree(outdir, {f"{name}/stdout.txt": b"exit 0\n" for name in calls})
 
+    monkeypatch.setattr(cmp_outputs, "ROOT", _one_commit_repo(tmp_path_factory.mktemp("repo")))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(cmp_outputs, "_write_inputs", lambda tree, inputs: inputs.mkdir())
     monkeypatch.setattr(cmp_outputs, "_run_all", run_all)
     assert cmp_outputs.main(["HEAD"]) == 0
     assert capsys.readouterr().out == "0 differing file(s)\n"

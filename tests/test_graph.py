@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from sqwsim.graph import (
 
 # Rows of (vertices, starts, amplitudes, message) that the tessellation
 # arrays are refused for; the rows with starts [0, len(vertices)] hold one
-# polygon, and ``Polygon`` refuses them with the same message.
+# polygon, and ``Polygon`` and ``Tessellation(...)`` refuse them with the
+# same message.
 ARRAY_CHECKS = [
     ([0, 1], [0, 2], [1.0, 1.0], "norm"),
     ([0, 1], [0, 2], [np.nan, 1.0], "norm"),
@@ -36,7 +38,18 @@ ARRAY_CHECKS = [
     ([0, 1], [0, 1], [0.6, 0.8], "starts"),
     ([0, 1], [1, 2], [0.6, 0.8], "starts"),
     ([0, 1], [0, 2], [1.0], "parallel"),
+    ([], [0, 0], [], "at least one vertex"),
+    # |a|^2 of 1e-170 underflows to 0.0, and of 1e-155 to a subnormal
+    # whose renormalizing factor 2 / |a|^2 overflows
+    ([0, 1], [0, 2], [1.0, 0.0], "polygon entry at vertex 1 has zero amplitude"),
+    ([0, 1], [0, 2], [1.0, 1e-170], "polygon entry at vertex 1 has zero amplitude"),
+    ([0, 1], [0, 2], [1.0, 1e-155j], "polygon entry at vertex 1 has zero amplitude"),
+    ([0.5, 1.5], [0, 2], [0.6, 0.8], "vertex indices must be integers, got 0.5"),
+    ([0, 1e20], [0, 2], [0.6, 0.8], "vertex indices must be integers"),
+    ([0, np.nan], [0, 2], [0.6, 0.8], "vertex indices must be integers"),
+    ([0, 1], [0, 1.5, 2], [1.0, 1.0], "polygon starts must be integers"),
 ]
+ONE_POLYGON_CHECKS = [(v, a, m) for v, s, a, m in ARRAY_CHECKS if s == [0, len(v)]]
 
 
 def expected_grid_edge_count(spec: GridSpec) -> int:
@@ -86,10 +99,7 @@ class TestPolygon:
         with pytest.raises(ValueError):
             poly.vertices[0] = 5
 
-    @pytest.mark.parametrize(
-        "verts,amps,message",
-        [(v, a, m) for v, s, a, m in ARRAY_CHECKS if s == [0, len(v)]],
-    )
+    @pytest.mark.parametrize("verts,amps,message", ONE_POLYGON_CHECKS)
     def test_checks_match_tessellation(self, verts, amps, message):
         with pytest.raises(ValueError, match=message):
             Polygon(np.array(verts), np.array(amps))
@@ -105,7 +115,7 @@ class TestTessellation:
         assert sorted(tess.vertices.tolist()) == [0, 1, 2]
 
     def test_arrays_follow_polygon_order(self):
-        polys = (Polygon.uniform([2, 0]), Polygon(np.array([1, 4, 3]), np.array([0.6, 0.0, 0.8j])))
+        polys = (Polygon.uniform([2, 0]), Polygon(np.array([1, 4, 3]), np.array([0.6, 0.48, 0.64j])))
         tess = Tessellation(polys)
         assert tess.vertices.tolist() == [2, 0, 1, 4, 3]
         assert tess.starts.tolist() == [0, 2, 5]
@@ -116,11 +126,11 @@ class TestTessellation:
 
     def test_from_arrays_builds_polygons_on_read(self):
         tess = Tessellation.from_arrays(
-            np.array([5, 1, 2, 0]), np.array([0, 1, 4]), np.array([1.0, 0.6, 0.0, 0.8j])
+            np.array([5, 1, 2, 0]), np.array([0, 1, 4]), np.array([1.0, 0.6, 0.48, 0.64j])
         )
         polys = tess.polygons
         assert [p.vertices.tolist() for p in polys] == [[5], [1, 2, 0]]
-        assert polys[1].amplitudes.tolist() == [0.6, 0.0, 0.8j]
+        assert polys[1].amplitudes.tolist() == [0.6, 0.48, 0.64j]
         assert tess.polygons is polys
         with pytest.raises(ValueError):
             polys[1].vertices[0] = 7
@@ -138,8 +148,61 @@ class TestTessellation:
         with pytest.raises(ValueError, match=message):
             Tessellation.from_arrays(np.array(verts), np.array(starts), np.array(amps))
 
+    @pytest.mark.parametrize("verts,amps,message", ONE_POLYGON_CHECKS)
+    def test_constructor_checks_its_polygons(self, verts, amps, message):
+        # an unchecked polygon, so the refusal is the tessellation's own
+        with pytest.raises(ValueError, match=message):
+            Tessellation((Polygon._unchecked(np.array(verts), np.array(amps)),))
+
+
+class TestPolygonEntries:
+    def test_smallest_entry_accepted(self):
+        # the least |a|^2 accepted is the least normal float64
+        tiny = math.sqrt(np.finfo(np.float64).tiny)
+        Polygon(np.array([0, 1]), np.array([math.sqrt(1.0 - tiny * tiny), tiny]))
+
+    @pytest.mark.parametrize(
+        "amps,message",
+        [
+            ([np.nan, 0.0], "polygon amplitudes have squared norm nan, expected 1"),
+            ([2.0, 0.0], "polygon amplitudes have squared norm 4.0, expected 1"),
+            ([1.0, 1.0], "polygon amplitudes have squared norm 2.0, expected 1"),
+        ],
+    )
+    def test_norm_messages_come_first(self, amps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Polygon(np.array([0, 1]), np.array(amps))
+
+    def test_integral_float_vertices_accepted(self):
+        for built in (
+            Polygon(np.array([0.0, 2.0]), np.array([0.6, 0.8])),
+            Tessellation.from_arrays(np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0.6, 0.8])),
+        ):
+            assert built.vertices.tolist() == [0, 2] and built.vertices.dtype == np.int64
+
+    def test_uniform_refuses_bad_vertex_lists(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Polygon.uniform([])
+        with pytest.raises(ValueError, match="vertex indices must be integers"):
+            Polygon.uniform([0, 0.5])
+
+    @pytest.mark.parametrize("verts", [np.array([[0, 1]]), np.array(0)])
+    def test_vertices_not_1d_refused(self, verts):
+        with pytest.raises(ValueError, match="parallel 1-d"):
+            Polygon(verts, np.full(verts.shape, 1.0 / math.sqrt(verts.size)))
+
 
 class TestSimpleGraph:
+    def test_non_integer_endpoints_refused(self):
+        with pytest.raises(ValueError, match="edge endpoints must be integers, got 0.7"):
+            SimpleGraph(4, [(0.7, 2)])
+        with pytest.raises(ValueError, match="edge endpoints must be integers, got 2.5"):
+            SimpleGraph(4, np.array([[0.0, 1.0], [1.0, 2.5]]))
+
+    def test_integral_float_endpoints_accepted(self):
+        assert SimpleGraph(4, [(3.0, 2)]).edge_array.tolist() == [[2, 3]]
+        assert SimpleGraph(4, np.array([[0.0, 1.0]])).edge_array.dtype == np.int64
+
     def test_normalizes_edges(self):
         g = SimpleGraph(3, frozenset({(2, 0), (0, 1)}))
         assert (0, 2) in g.edges and (0, 1) in g.edges
@@ -153,10 +216,6 @@ class TestSimpleGraph:
         with pytest.raises(ValueError, match="out of range"):
             SimpleGraph(2, frozenset({(0, 5)}))
 
-    def test_degree_sequence(self):
-        g = SimpleGraph(3, frozenset({(0, 1), (1, 2)}))
-        assert g.degree_sequence().tolist() == [1, 2, 1]
-
     def test_array_input_is_normalized_and_sorted(self):
         g = SimpleGraph(5, np.array([[3, 1], [0, 2], [1, 3], [4, 0]]))
         assert g.edge_array.tolist() == [[0, 2], [0, 4], [1, 3]]
@@ -164,7 +223,6 @@ class TestSimpleGraph:
         assert g.num_edges == 3
         assert g.has_edge(3, 1) and g.has_edge(4, 0)
         assert not g.has_edge(0, 1) and not g.has_edge(0, 9) and not g.has_edge(-1, 0)
-        assert g.neighbors() == [[2, 4], [3], [0], [1], [0]]
         with pytest.raises(ValueError):
             g.edge_array[0, 0] = 1
 
@@ -193,8 +251,6 @@ class TestSimpleGraph:
         for g in (SimpleGraph(0), SimpleGraph(3, frozenset()), SimpleGraph(3, np.empty((0, 2), int))):
             assert g.edges == frozenset()
             assert g.edge_array.shape == (0, 2)
-            assert g.neighbors() == [[]] * g.num_vertices
-            assert g.degree_sequence().tolist() == [0] * g.num_vertices
 
 
 class TestGridSpec:
@@ -549,6 +605,26 @@ class TestGraphIO:
         assert text == again
         gtext = write_graph(tg.graph)
         assert gtext == write_graph(read_graph(gtext))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_uniform_covers_round_trip(self, seed):
+        # random covers hold one-vertex polygons and list polygons in any order
+        rng = np.random.default_rng(seed)
+        tg = random_cover(rng, int(rng.integers(1, 12)), int(rng.integers(1, 4)), uniform=True)
+        text = write_cover(tg)
+        assert write_cover(read_cover(text, tg.graph)) == text
+
+    @pytest.mark.parametrize(
+        "tessellations",
+        [(), (Tessellation(()), Tessellation((Polygon.uniform([0, 1]),)))],
+        ids=["none", "empty"],
+    )
+    def test_write_cover_rejects_what_read_cover_refuses(self, tessellations):
+        # written, these read back as "empty cover file" and as "tessellation
+        # indices not contiguous: 0 missing"
+        g = SimpleGraph(2, frozenset({(0, 1)}))
+        with pytest.raises(ValueError, match="at least one tessellation, and no empty one"):
+            write_cover(TessellatedGraph(g, tessellations))
 
     def test_write_cover_rejects_non_uniform(self):
         g = SimpleGraph(2, frozenset({(0, 1)}))

@@ -104,9 +104,9 @@ class TestBreakPolygon:
             break_polygon(Polygon.uniform([0, 1]), [(0,), (0, 1)])
 
     def test_rejects_zero_norm_block(self):
-        poly = Polygon(np.array([0, 1]), np.array([1.0, 0.0]))
+        # a block of norm zero needs a zero entry, and no polygon holds one
         with pytest.raises(ValueError, match="zero amplitude"):
-            break_polygon(poly, [(0,), (1,)])
+            Polygon(np.array([0, 1]), np.array([1.0, 0.0]))
 
 
 class TestRemoveVertices:
@@ -287,17 +287,12 @@ class TestPerturbedStep:
         np.testing.assert_allclose(out.amplitudes, ref.amplitudes, atol=1e-13)
 
     def test_zero_amplitude_entry_rejected_by_both_routes(self):
-        # dropping vertex 0 leaves polygon {0, 1} a block of norm zero; the
-        # masked and the materialized step must both refuse it
-        lopsided = Polygon(np.array([0, 1]), np.array([1.0, 0.0]))
-        tess = Tessellation((lopsided, Polygon.uniform([2, 3])))
-        tg = TessellatedGraph(SimpleGraph(4, frozenset({(0, 1), (2, 3)})), (tess,))
-        plan = BreakPlan(tg, broken_vertex_mask=np.array([True, False, False, False]))
-        state = WalkState(random_state(np.random.default_rng(3), 4))
+        # dropping vertex 0 would leave polygon {0, 1} a block of norm zero,
+        # so the cover is refused before either route can walk it
         with pytest.raises(ValueError, match="zero amplitude"):
-            plan_step(plan, state)
+            Polygon(np.array([0, 1]), np.array([1.0, 0.0]))
         with pytest.raises(ValueError, match="zero amplitude"):
-            step(apply_plan(tg, plan), state)
+            Tessellation.from_arrays(np.arange(4), np.array([0, 2, 4]), np.array([1.0, 0.0, 0.6, 0.8]))
 
     def test_mixed_plan_rejected(self):
         # apply_plan would drop only the vertex, plan_step would let the
