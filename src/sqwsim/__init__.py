@@ -15,7 +15,6 @@ from .analysis import (
     PositionDistribution,
     aggregate,
     check_dihedral_symmetry,
-    classical_distribution,
     classical_sigma_series,
     displacement_experiment,
     position_distribution,
@@ -24,7 +23,6 @@ from .analysis import (
 from .evolve import (
     InvariantError,
     WalkState,
-    apply_tessellation,
     localized_clique_state,
     step,
     uniform_state,
@@ -57,7 +55,7 @@ from .oracle import (
     remove_vertices,
     verify_equivalence,
 )
-from .rng import child_seed, run_rng
+from .rng import child_seed
 from .search import (
     RunSummary,
     SearchConfig,
@@ -92,11 +90,9 @@ __all__ = [
     "__version__",
     "aggregate",
     "apply_plan",
-    "apply_tessellation",
     "break_polygon",
     "check_dihedral_symmetry",
     "child_seed",
-    "classical_distribution",
     "classical_sigma_series",
     "coined_basis_map",
     "coined_to_staggered",
@@ -113,7 +109,6 @@ __all__ = [
     "read_cover",
     "read_graph",
     "remove_vertices",
-    "run_rng",
     "run_search",
     "sample_plan",
     "step",

@@ -101,7 +101,8 @@ def _classical_kernel(probs: np.ndarray) -> np.ndarray:
 
 
 def _classical_walk(n: int, steps: int) -> Iterator[np.ndarray]:
-    """Distributions of the classical walk after t = 0..steps ticks."""
+    """Distributions of the symmetric classical random walk on the torus,
+    one axis step per tick from a point mass at (0, 0), after t = 0..steps ticks."""
     if n < 1:
         raise ValueError("n must be positive")
     if steps < 0:
@@ -112,14 +113,6 @@ def _classical_walk(n: int, steps: int) -> Iterator[np.ndarray]:
     for _ in range(steps):
         probs = _classical_kernel(probs)
         yield probs
-
-
-def classical_distribution(n: int, steps: int) -> PositionDistribution:
-    """Symmetric classical random walk on the torus, one axis step per tick,
-    started from a point mass at (0, 0)."""
-    for probs in _classical_walk(n, steps):
-        pass
-    return PositionDistribution(probs)
 
 
 def classical_sigma_series(n: int, steps: int) -> np.ndarray:

@@ -2,17 +2,16 @@
 
 Each tessellation T induces the orthogonal reflection
 U_T = 2 * sum_j |P_j><P_j| - I over its polygon states, and one walk step
-applies the tessellations of a cover in index order.  Tessellations are
-compiled into flat arrays so a reflection costs a few vectorized passes
-over the covered entries instead of a Python loop over polygons.  When all P
-polygons of a tessellation have the same size m (both tessellations of the
-grid of cliques, the coin tessellation of a regular graph) the entries form
-a block of m slots by P polygons, and polygon sums and per-polygon factors
-run along its rows; a tessellation covering vertices 0..E-1 in polygon
-order is read and written in place, with no gather or scatter.  Polygons of
-different sizes keep a flat layout summed with ``reduceat``.  Noise enters
-a reflection as one per-entry mask of detached entries, built from a
-sampled plan inside :func:`_apply_cover`: each polygon is reweighted by the
+applies the tessellations of a cover in index order.  A tessellation is
+compiled into blocks, one per polygon size m: the entries of the block's P
+polygons form m slots by P polygons, so a reflection costs a few vectorized
+passes per block instead of a Python loop over polygons, with polygon sums
+and per-polygon factors running along the block's rows.  Both tessellations
+of the grid of cliques and the coin tessellation of a regular graph are one
+block each; a tessellation that is one block over vertices 0..E-1 in
+polygon order is read and written in place, with no gather or scatter.
+Noise enters a reflection as a mask of detached entries, built per block
+from a sampled plan inside :func:`_reflect`: each polygon is reweighted by the
 squared amplitudes of its surviving entries, and a detached entry either
 leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
 split off a broken polygon).  The compiled layout is private to this module.
@@ -37,7 +36,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from .graph import GridSpec, SimpleGraph, Tessellation, TessellatedGraph
+from .graph import GridSpec, Tessellation, TessellatedGraph, _sorted_distinct
 
 #: Tolerance on the unit norm of walk states.
 STATE_NORM_TOL = 1e-10
@@ -124,40 +123,35 @@ def localized_clique_state(spec: GridSpec, x: int = 0, y: int = 0) -> WalkState:
 
 
 @dataclass(eq=False)
-class _FlatTessellation:
-    """Compiled layout of a tessellation.
+class _Block:
+    """Compiled layout of the polygons of one size m in a tessellation.
 
-    ``order`` lists the covered vertices grouped by polygon; ``starts`` are
-    the polygon boundaries (length P+1) and ``sizes`` the polygon sizes.
     Per-entry arrays (``amps``, their conjugates ``conj_amps``, their
     squared magnitudes ``amps2``, the gather ``index`` and the noise masks)
-    have ``shape``:
+    are (m, P) for the block's P polygons: row j holds slot j of every
+    polygon, so a polygon sum adds m rows of length P and a per-polygon
+    value, such as a mask of whole polygons, broadcasts over the rows (a
+    (P, m) block would loop over rows of only m entries).  ``polygons``
+    lists the block's polygons by their index in the tessellation, and is
+    ``slice(None)`` when the block holds them all.
 
-    * (m, P) when all P polygons have size m: row j holds slot j of every
-      polygon, so a polygon sum adds m rows of length P and a per-polygon
-      value broadcasts over the rows (a (P, m) block would loop over rows
-      of only m entries);
-    * (E,) for polygons of different sizes, summed with ``reduceat``.
-
-    ``index`` is None when ``order`` is 0..E-1, as for the cells of the grid
-    of cliques: the covered entries are then a view of the state's leading
-    E entries, read and written in place.
+    ``index`` is None when the tessellation is this one block over vertices
+    0..E-1 in polygon order, as for the cells of the grid of cliques: the
+    covered entries are then a view of the state's leading E entries, read
+    and written in place.
 
     ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 when
-    every amplitude of the tessellation is real, complex128 otherwise.  ``terms``
-    holds the per-entry products of a reflection, and ``gathered`` (when
-    ``index`` is set) its gathered input and its result.  Every reflection
-    reuses them, so a step allocates no entry-sized temporaries: the
-    allocator may hand freed temporaries back to the system and fault their
-    pages in again on the next step (about 750 minor faults per step on the
-    grid at N = 40,000).  Since every reflection writes them, a layout
-    belongs to the thread that compiled it.
+    every amplitude of the tessellation is real, complex128 otherwise.
+    ``terms`` holds the per-entry products of a reflection, and ``gathered``
+    (when ``index`` is set) its gathered input and its result.  Every
+    reflection reuses them, so a step allocates no entry-sized temporaries:
+    the allocator may hand freed temporaries back to the system and fault
+    their pages in again on the next step (about 750 minor faults per step
+    on the grid at N = 40,000).  Since every reflection writes them, a
+    block belongs to the thread that compiled it.
     """
 
-    order: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    shape: tuple[int, ...]
+    polygons: slice | np.ndarray
     index: np.ndarray | None
     amps: np.ndarray
     conj_amps: np.ndarray
@@ -165,148 +159,153 @@ class _FlatTessellation:
     terms: np.ndarray
     gathered: np.ndarray | None
 
-    @property
-    def is_block(self) -> bool:
-        return len(self.shape) == 2
-
     def gather(self, arr: np.ndarray) -> np.ndarray:
-        """The covered entries of a per-vertex array in ``shape`` (a view when in place)."""
+        """The block's entries of a per-vertex array, (m, P) (a view when in place)."""
         if self.index is None:
-            return arr[: self.order.size].reshape(self.shape[::-1]).T
+            return arr[: self.amps.size].reshape(self.amps.shape[::-1]).T
         return arr[self.index]
 
-    def polygon_sums(self, entries: np.ndarray) -> np.ndarray:
-        """Per-polygon sums of per-entry values.
-
-        Blocks add the first slot to the sum of the others, the order in
-        which ``reduceat`` adds a short segment, so both layouts give equal
-        bits for polygons of up to four entries.
-        """
-        if self.is_block:
-            return entries[0] + np.add.reduce(entries[1:], axis=0)
-        return np.add.reduceat(entries, self.starts[:-1])
-
-    def per_entry(self, per_polygon: np.ndarray) -> np.ndarray:
-        """Per-polygon values spread over their entries (broadcast for blocks)."""
-        return per_polygon if self.is_block else np.repeat(per_polygon, self.sizes)
-
-    def entry_mask(self, polygons: np.ndarray, slots: np.ndarray | None = None) -> np.ndarray:
-        """Per-entry mask (broadcastable to ``shape``), True on every entry of
-        the listed polygons, or only on entry ``slots[i]`` of ``polygons[i]``."""
+    def split_mask(self, polygons: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
+        """The entries split off the listed polygons that the block holds: all
+        their entries ((P,), broadcast over the rows) when ``slots`` is None,
+        else entry ``slots[i]`` of polygon ``polygons[i]`` ((m, P)).
+        ``polygons`` are ascending indices into the tessellation."""
+        if isinstance(self.polygons, np.ndarray):
+            columns = np.searchsorted(self.polygons, polygons)
+            held = self.polygons.take(columns, mode="clip") == polygons
+            polygons = columns[held]
+            slots = None if slots is None else slots[held]
         if slots is None:
-            hit = np.zeros(self.sizes.size, dtype=bool)
-            hit[polygons] = True
-            return self.per_entry(hit)
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.is_block:
-            mask[slots, polygons] = True
+            mask = np.zeros(self.amps.shape[1], dtype=bool)
+            mask[polygons] = True
         else:
-            mask[self.starts[polygons] + slots] = True
+            mask = np.zeros(self.amps.shape, dtype=bool)
+            mask[slots, polygons] = True
         return mask
+
+    def reflect(self, vec: np.ndarray, out: np.ndarray, drop: np.ndarray | None, split: bool) -> None:
+        """Write the block's entries of the reflection of ``vec`` into ``out``
+        (see :func:`_reflect`); ``drop`` broadcasts to (m, P)."""
+        if self.index is None:
+            sv = self.gather(vec)
+            res = self.gather(out)
+        else:
+            # Every caller has checked the state size against the cover, so the
+            # indices are in range; "clip" spares take its bounds-check buffer.
+            sv = np.take(vec, self.index, out=self.gathered[0], mode="clip")
+            res = self.gathered[1]
+        terms = np.multiply(self.conj_amps, sv, out=self.terms)
+        if drop is None:
+            factor = 2.0 * _polygon_sums(terms)
+        else:
+            weight = _polygon_sums(np.where(drop, 0.0, self.amps2))
+            np.copyto(terms, 0.0, where=drop)
+            scale = np.zeros_like(weight)
+            np.divide(2.0, weight, out=scale, where=weight > 0.0)
+            factor = _polygon_sums(terms) * scale
+        np.multiply(factor, self.amps, out=res)
+        res -= sv
+        if drop is not None:
+            if split:
+                np.copyto(res, sv, where=drop)
+            else:
+                np.negative(sv, out=res, where=drop)
+        if self.index is not None:
+            out[self.index] = res
+
+
+def _polygon_sums(entries: np.ndarray) -> np.ndarray:
+    """Per-polygon sums of an (m, P) block: the first slot plus the sum of
+    the others.  The CLI outputs, compared byte for byte, depend on this order."""
+    return entries[0] + np.add.reduce(entries[1:], axis=0)
+
+
+#: A compiled tessellation: the number E of vertices it covers, and its
+#: blocks in ascending polygon size.
+_Layout = tuple[int, tuple[_Block, ...]]
 
 
 class _Layouts(threading.local):
     def __init__(self):
-        self.by_tess: "WeakKeyDictionary[Tessellation, _FlatTessellation]" = WeakKeyDictionary()
+        self.by_tess: "WeakKeyDictionary[Tessellation, _Layout]" = WeakKeyDictionary()
 
 
-#: Each thread's compiled layouts, since every reflection writes its layout's scratch.
+#: Each thread's compiled layouts, since every reflection writes its blocks' scratch.
 _layouts = _Layouts()
 
 
-def _flatten(tess: Tessellation) -> _FlatTessellation:
-    """The layout of ``tess``, compiled once per thread: float64 when every
-    amplitude is real, complex128 otherwise.  ``Tessellation`` refuses any
-    entry with |a|^2 below the least normal float, so each block a plan
-    leaves has a finite renormalizing factor."""
-    flat = _layouts.by_tess.get(tess)
-    if flat is not None:
-        return flat
-    order, starts, amps = tess.vertices, tess.starts, tess.amplitudes
+def _flatten(tess: Tessellation) -> _Layout:
+    """The layout of ``tess``, compiled once per thread: one block per
+    polygon size, each holding its polygons in tessellation order, float64
+    when every amplitude of ``tess`` is real and complex128 otherwise.
+    ``Tessellation`` refuses any entry with |a|^2 below the least normal
+    float, so each block a plan leaves has a finite renormalizing factor."""
+    layout = _layouts.by_tess.get(tess)
+    if layout is not None:
+        return layout
+    vertices, amps, sizes = tess.vertices, tess.amplitudes, tess.sizes
     if not amps.imag.any():
         amps = np.ascontiguousarray(amps.real)
-    sizes = tess.sizes
     amps2 = amps.real**2 + amps.imag**2
-    m = int(sizes[0]) if sizes.size and np.all(sizes == sizes[0]) else 0
-
-    def laid_out(entries: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(entries.reshape(-1, m).T) if m else entries
-
-    in_place = np.array_equal(order, np.arange(order.size))
-    shape = laid_out(order).shape
-    flat = _FlatTessellation(
-        order=order,
-        starts=starts,
-        sizes=sizes,
-        shape=shape,
-        index=None if in_place else laid_out(order),
-        amps=laid_out(amps),
-        conj_amps=laid_out(np.conj(amps)),
-        amps2=laid_out(amps2),
-        terms=np.empty(shape, dtype=amps.dtype),
-        gathered=None if in_place else np.empty((2,) + shape, dtype=amps.dtype),
-    )
-    _layouts.by_tess[tess] = flat
-    return flat
+    distinct = _sorted_distinct(sizes).tolist()
+    in_place = len(distinct) == 1 and np.array_equal(vertices, np.arange(vertices.size))
+    blocks = []
+    for m in distinct:
+        polygons = slice(None) if len(distinct) == 1 else np.flatnonzero(sizes == m)
+        entries = tess.starts[:-1][polygons] + np.arange(m)[:, None]
+        blocks.append(_Block(
+            polygons=polygons,
+            index=None if in_place else vertices[entries],
+            amps=amps[entries],
+            conj_amps=np.conj(amps[entries]),
+            amps2=amps2[entries],
+            terms=np.empty(entries.shape, dtype=amps.dtype),
+            gathered=None if in_place else np.empty((2,) + entries.shape, dtype=amps.dtype),
+        ))
+    layout = _layouts.by_tess[tess] = (int(vertices.size), tuple(blocks))
+    return layout
 
 
 def _reflect(
-    flat: _FlatTessellation,
+    layout: _Layout,
     vec: np.ndarray,
     out: np.ndarray,
     drop: np.ndarray | None = None,
-    split: bool = False,
+    breaks=None,
 ) -> np.ndarray:
-    """out = (2 sum_j |P_j><P_j| - I) vec, optionally perturbed by a per-entry
-    mask broadcastable to ``flat.shape``.  ``vec`` and ``out`` have the
-    layout's dtype (they may be strided views); ``out`` must not alias ``vec``.
+    """out = (2 sum_j |P_j><P_j| - I) vec for the tessellation compiled to
+    ``layout``, optionally perturbed, and return ``out``.  ``out`` must not
+    alias ``vec``.
 
-    Entries marked in ``drop`` detach from their polygon, whose surviving
-    block is renormalized by the per-polygon survivor weight (the sum of
-    |amplitude|^2 over entries not dropped).  A detached entry leaves the
-    cover and picks up the -I term, or with ``split`` reflects as a singleton
-    polygon of its own and picks up +1.  A vertex covered by no polygon picks
-    up the -I term.
+    Entries detach from their polygon where the per-vertex mask ``drop`` is
+    True (broken vertices), or are split off the polygons ``breaks.broken``
+    (all their entries, or entry ``breaks.lone_slot[i]`` of polygon
+    ``breaks.broken[i]`` when ``lone_slot`` is set), where ``breaks`` is
+    the tessellation's entry in a plan's ``polygon_breaks`` and wins over
+    ``drop``.  A polygon's surviving block is renormalized by its survivor
+    weight (the sum of |amplitude|^2 over entries not detached).  A broken
+    vertex leaves the cover and picks up the -I term; a split-off entry
+    reflects as a singleton polygon of its own and picks up +1.  A vertex
+    covered by no polygon picks up the -I term.  A real block reflects the
+    real and imaginary parts of a complex vector one after the other.
     """
-    size = flat.order.size
-    if flat.index is None:
-        sv = flat.gather(vec)
-        res = flat.gather(out)
-        np.negative(vec[size:], out=out[size:])
-    else:
-        # Every caller has checked the state size against the cover, so the
-        # indices are in range; "clip" spares take its bounds-check buffer.
-        sv = np.take(vec, flat.index, out=flat.gathered[0], mode="clip")
-        res = flat.gathered[1]
-        if size < vec.size:
-            np.negative(vec, out=out)
-    if not size:
-        return out
-    terms = np.multiply(flat.conj_amps, sv, out=flat.terms)
-    if drop is None:
-        factor = 2.0 * flat.polygon_sums(terms)
-    else:
-        weight = flat.polygon_sums(np.where(drop, 0.0, flat.amps2))
-        np.copyto(terms, 0.0, where=drop)
-        scale = np.zeros_like(weight)
-        np.divide(2.0, weight, out=scale, where=weight > 0.0)
-        factor = flat.polygon_sums(terms) * scale
-    np.multiply(flat.per_entry(factor), flat.amps, out=res)
-    res -= sv
-    if drop is not None:
+    covered, blocks = layout
+    if covered and blocks[0].index is None:
+        np.negative(vec[covered:], out=out[covered:])
+    elif covered < vec.size:
+        np.negative(vec, out=out)
+    split = breaks is not None
+    for block in blocks:
         if split:
-            np.copyto(res, sv, where=drop)
+            block_drop = block.split_mask(breaks.broken, breaks.lone_slot)
         else:
-            np.negative(sv, out=res, where=drop)
-    if flat.index is not None:
-        out[flat.index] = res
+            block_drop = None if drop is None else block.gather(drop)
+        if vec.dtype == block.amps.dtype:
+            block.reflect(vec, out, block_drop, split)
+        else:
+            block.reflect(vec.real, out.real, block_drop, split)
+            block.reflect(vec.imag, out.imag, block_drop, split)
     return out
-
-
-def apply_tessellation(tess: Tessellation, state: WalkState) -> WalkState:
-    """Apply the reflection operator of a single tessellation."""
-    tg = TessellatedGraph(SimpleGraph(state.num_vertices), (tess,))
-    return _apply_cover(tg, state)
 
 
 def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
@@ -319,34 +318,22 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     detaches from its polygon in every tessellation and leaves the cover,
     and the split-off entries of a broken polygon detach and become
     singletons.  The step walks in the dtype of the state's buffer, promoted
-    once to complex128 when a tessellation has complex amplitudes.  A real
-    tessellation reflects the real and imaginary parts of a complex vector
-    one after the other, so only complex tessellations run in complex128.
-    Reflections alternate between two buffers, so a step allocates at most
-    two state vectors.
+    once to complex128 when a tessellation has complex amplitudes, so only
+    complex tessellations run in complex128.  Reflections alternate between
+    two buffers, so a step allocates at most two state vectors.
     """
     vec = state._amps
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
-    flats = [_flatten(tess) for tess in tg.tessellations]
-    if any(flat.amps.dtype == np.complex128 for flat in flats):
+    layouts = [_flatten(tess) for tess in tg.tessellations]
+    if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
         vec = vec.astype(np.complex128, copy=False)
     vmask = None if plan is None else plan.broken_vertex_mask
     breaks = {} if plan is None else plan.polygon_breaks
-    buffers = [np.empty_like(vec) for _ in range(min(2, len(flats)))]
+    buffers = [np.empty_like(vec) for _ in range(min(2, len(layouts)))]
     cur = vec
-    for t_idx, flat in enumerate(flats):
-        drop = None if vmask is None else flat.gather(vmask)
-        tb = breaks.get(t_idx)
-        if tb is not None:
-            drop = flat.entry_mask(tb.broken, tb.lone_slot)
-        split, out = tb is not None, buffers[t_idx % 2]
-        if cur.dtype == flat.amps.dtype:
-            _reflect(flat, cur, out, drop, split)
-        else:
-            _reflect(flat, cur.real, out.real, drop, split)
-            _reflect(flat, cur.imag, out.imag, drop, split)
-        cur = out
+    for t_idx, layout in enumerate(layouts):
+        cur = _reflect(layout, cur, buffers[t_idx % 2], vmask, breaks.get(t_idx))
     return WalkState._written(cur)
 
 

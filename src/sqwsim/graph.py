@@ -81,6 +81,8 @@ class SimpleGraph:
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         n = int(num_vertices)
+        if n != num_vertices:
+            raise ValueError(f"num_vertices must be an integer, got {num_vertices!r}")
         if not 0 <= n <= _MAX_VERTICES:
             raise ValueError(f"num_vertices must be in [0, {_MAX_VERTICES}], got {n}")
         pairs = _as_int64(edges if isinstance(edges, np.ndarray) else list(edges), "edge endpoints")

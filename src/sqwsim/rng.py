@@ -22,11 +22,6 @@ def child_seed(master_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_rng(master_seed: int, *path: int) -> np.random.Generator:
-    """Generator for one run, independent of all sibling runs."""
-    return np.random.default_rng(child_seed(master_seed, *path))
-
-
 _worker_run: Callable[[np.random.Generator], object] | None = None
 
 

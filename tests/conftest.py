@@ -7,6 +7,7 @@ import re
 import numpy as np
 from hypothesis import settings
 
+from sqwsim.evolve import WalkState, step
 from sqwsim.graph import Polygon, SimpleGraph, Tessellation, TessellatedGraph
 
 # Derandomized so every run draws the same examples; no deadline, because
@@ -66,6 +67,11 @@ def random_cover(
         tessellations.append(Tessellation(tuple(polys)))
     graph = SimpleGraph(num_vertices, frozenset(edges))
     return TessellatedGraph(graph, tuple(tessellations))
+
+
+def reflect(tess: Tessellation, state: WalkState) -> WalkState:
+    """The reflection of a single tessellation: one step of the cover it alone makes."""
+    return step(TessellatedGraph(SimpleGraph(state.num_vertices), (tess,)), state)
 
 
 def random_state(rng: np.random.Generator, num_vertices: int) -> np.ndarray:

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_cover, random_state
+from conftest import random_cover, random_state, reflect as apply_tessellation
 from sqwsim.analysis import aggregate, check_dihedral_symmetry, displacement_experiment
 from sqwsim.cli import main
-from sqwsim.evolve import WalkState, apply_tessellation, step, uniform_state
+from sqwsim.evolve import WalkState, step, uniform_state
 from sqwsim.graph import GridSpec, make_grid_of_cliques
 from sqwsim.noise import NoiseSpec, perturbed_step, plan_step, sample_plan
 from sqwsim.oracle import apply_plan, dense_step_matrix, remove_vertices, verify_equivalence

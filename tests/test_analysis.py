@@ -7,9 +7,9 @@ from conftest import random_state
 from sqwsim.analysis import (
     AggregateSeries,
     PositionDistribution,
+    _classical_walk,
     aggregate,
     check_dihedral_symmetry,
-    classical_distribution,
     classical_sigma_series,
     displacement_experiment,
     position_distribution,
@@ -18,6 +18,12 @@ from sqwsim.analysis import (
 from sqwsim.evolve import WalkState, localized_clique_state, uniform_state
 from sqwsim.graph import GridSpec
 from sqwsim.noise import NoiseSpec
+
+
+def classical_distribution(n, steps):
+    """The classical walk's distribution after ``steps`` ticks."""
+    *_, probs = _classical_walk(n, steps)
+    return PositionDistribution(probs)
 
 
 def delta_distribution(n, x, y):

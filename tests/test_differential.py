@@ -2,7 +2,7 @@
 
 For random covers of every layout the compiled kernel distinguishes (equal
 polygon sizes in random or vertex order, partial covers, polygons of
-different sizes, empty tessellations) and random noise plans, three routes
+different sizes in random or vertex order, empty tessellations) and random noise plans, three routes
 must agree: the masked fast step ``plan_step``, the step on the materialized
 perturbed cover ``step(apply_plan(...))`` and the dense oracle.  Covers and
 states are drawn complex or real, so the float64 route that a real cover
@@ -21,8 +21,9 @@ from sqwsim.oracle import apply_plan, dense_step_matrix
 
 #: Equal-size polygons over a random permutation of all vertices, over the
 #: vertices in order, over a random subset, over a leading run 0..E-1;
-#: a singleton and polygons of sizes 2..4 over a random subset; no polygons.
-LAYOUTS = ("equal", "in_order", "partial", "partial_in_order", "ragged", "empty")
+#: a singleton and polygons of sizes 2..12 over a random subset, or over a
+#: leading run 0..E-1 (one block per size, none in place); no polygons.
+LAYOUTS = ("equal", "in_order", "partial", "partial_in_order", "ragged", "ragged_in_order", "empty")
 
 
 def _amplitudes(rng: np.random.Generator, size: int, real: bool) -> np.ndarray:
@@ -35,11 +36,14 @@ def _amplitudes(rng: np.random.Generator, size: int, real: bool) -> np.ndarray:
 def _tessellation(rng: np.random.Generator, layout: str, num: int, real: bool) -> Tessellation:
     if layout == "empty":
         return Tessellation(())
-    if layout == "ragged":
-        covered = rng.permutation(num)[: int(rng.integers(1, num + 1))]
-        sizes = [1]  # a singleton first, then larger polygons, so sizes differ
+    if layout in ("ragged", "ragged_in_order"):
+        count = int(rng.integers(1, num + 1))
+        covered = rng.permutation(num)[:count] if layout == "ragged" else np.arange(count)
+        # a singleton first, then larger polygons, so sizes differ; a polygon
+        # of 9 or more entries sums in another order than a shorter one
+        sizes = [1]
         while sum(sizes) < covered.size:
-            sizes.append(min(int(rng.integers(2, 5)), covered.size - sum(sizes)))
+            sizes.append(min(int(rng.integers(2, 13)), covered.size - sum(sizes)))
     else:
         if layout in ("equal", "in_order"):
             count = num

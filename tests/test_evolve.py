@@ -5,13 +5,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import random_cover, random_state
+from conftest import random_cover, random_state, reflect
 from sqwsim.evolve import (
     InvariantError,
     WalkState,
     _flatten,
     _norm,
-    apply_tessellation,
     localized_clique_state,
     renormalize_if_drifting,
     step,
@@ -79,7 +78,7 @@ class TestApplyTessellation:
         tg = make_grid_of_cliques(GridSpec(2, 1))
         amps = np.zeros(16, dtype=complex)
         amps[0] = 1.0
-        out = apply_tessellation(tg.tessellations[0], WalkState(amps))
+        out = reflect(tg.tessellations[0], WalkState(amps))
         assert np.allclose(out.amplitudes[:4], [-0.5, 0.5, 0.5, 0.5])
         assert np.all(out.amplitudes[4:] == 0)
 
@@ -88,27 +87,27 @@ class TestApplyTessellation:
         tess = Tessellation((poly,))
         amps = np.zeros(5, dtype=complex)
         amps[[1, 3]] = [0.8, 0.6j]
-        out = apply_tessellation(tess, WalkState(amps))
+        out = reflect(tess, WalkState(amps))
         assert np.allclose(out.amplitudes, amps)
 
     def test_orthogonal_state_is_negated(self):
         poly = Polygon(np.array([0, 1]), np.array([1.0, 1.0]) / math.sqrt(2))
         tess = Tessellation((poly,))
         amps = np.array([1.0, -1.0, 1.0j]) / math.sqrt(3)
-        out = apply_tessellation(tess, WalkState(amps))
+        out = reflect(tess, WalkState(amps))
         assert np.allclose(out.amplitudes, -amps)
 
     def test_uncovered_vertex_gets_minus_one(self):
         tess = Tessellation((Polygon.uniform([0, 1]),))
         amps = np.zeros(3, dtype=complex)
         amps[2] = 1.0
-        out = apply_tessellation(tess, WalkState(amps))
+        out = reflect(tess, WalkState(amps))
         assert out.amplitudes[2] == -1.0
 
     def test_index_out_of_range(self):
         tess = Tessellation((Polygon.uniform([0, 5]),))
         with pytest.raises(ValueError, match="references vertex"):
-            apply_tessellation(tess, uniform_state(3))
+            reflect(tess, uniform_state(3))
 
     def test_involution_on_random_covers(self):
         rng = np.random.default_rng(20)
@@ -117,7 +116,7 @@ class TestApplyTessellation:
             tg = random_cover(rng, num, 1)
             state = WalkState(random_state(rng, num))
             tess = tg.tessellations[0]
-            twice = apply_tessellation(tess, apply_tessellation(tess, state))
+            twice = reflect(tess, reflect(tess, state))
             np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-13)
 
 
@@ -125,24 +124,36 @@ class TestCompiledLayout:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_grid_tessellations_are_blocks_cells_in_place(self, q):
         spec = GridSpec(3, q)
-        cells, links = (_flatten(t) for t in make_grid_of_cliques(spec).tessellations)
-        assert cells.shape == (4 * q, 9) and cells.index is None
-        assert links.shape == (2 * q, 18) and links.index is not None
+        (_, (cells,)), (_, (links,)) = (_flatten(t) for t in make_grid_of_cliques(spec).tessellations)
+        assert cells.amps.shape == (4 * q, 9) and cells.index is None
+        assert links.amps.shape == (2 * q, 18) and links.index is not None
 
     def test_partial_cover_keeps_a_gathered_block(self):
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1))
-        flat = _flatten(tg.tessellations[0])
-        assert flat.shape == (4, 8) and flat.index is not None
+        covered, (block,) = _flatten(tg.tessellations[0])
+        assert covered == 32 and block.amps.shape == (4, 8) and block.index is not None
 
     def test_coin_tessellation_of_a_regular_graph_is_an_in_place_block(self):
         cycle = SimpleGraph(5, frozenset((v, (v + 1) % 5) for v in range(5)))
-        coin, shift = (_flatten(t) for t in coined_to_staggered(cycle)[0].tessellations)
-        assert coin.shape == (2, 5) and coin.index is None
-        assert shift.shape == (2, 5)
+        (_, (coin,)), (_, (shift,)) = (_flatten(t) for t in coined_to_staggered(cycle)[0].tessellations)
+        assert coin.amps.shape == (2, 5) and coin.index is None
+        assert shift.amps.shape == (2, 5)
 
-    def test_mixed_sizes_stay_flat(self):
-        tess = Tessellation((Polygon.uniform([0, 1, 2]), Polygon.uniform([3])))
-        assert _flatten(tess).shape == (4,)
+    @pytest.mark.parametrize("order", ["permuted", "in_order"])
+    def test_mixed_sizes_make_one_block_per_size(self, order):
+        # polygons of sizes 3, 1, 2, 3, 1, 2: one gathered block per size, in
+        # ascending size, even over vertices 0..E-1 in polygon order
+        verts = np.arange(12) if order == "in_order" else np.random.default_rng(4).permutation(12)
+        bounds = [0, 3, 4, 6, 9, 10, 12]
+        tess = Tessellation(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])))
+        covered, blocks = _flatten(tess)
+        assert covered == 12
+        assert [block.amps.shape for block in blocks] == [(1, 2), (2, 2), (3, 2)]
+        assert sorted(np.concatenate([block.polygons for block in blocks]).tolist()) == list(range(6))
+        for block in blocks:
+            assert block.index is not None
+            for column, j in enumerate(block.polygons):
+                assert block.index[:, column].tolist() == verts[bounds[j] : bounds[j + 1]].tolist()
 
     def test_scratch_reuse_leaves_returned_states_alone(self):
         # every reflection reuses its tessellation's scratch arrays, so no
@@ -163,23 +174,23 @@ class TestCompiledLayout:
         arrays = [s.amplitudes for s in states] + [s._amps for s in states if s._amps.dtype == np.float64]
         assert len(arrays) == len(states) + 4
         for tess in tg.tessellations:
-            flat = _flatten(tess)
-            scratch = [flat.terms] + ([] if flat.gathered is None else [flat.gathered])
-            assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
+            for block in _flatten(tess)[1]:
+                scratch = [block.terms] + ([] if block.gathered is None else [block.gathered])
+                assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
 
     def test_real_tessellation_has_one_float64_layout(self):
         # complex and real states walk the same compiled layout
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
-        flats = [_flatten(tess) for tess in tg.tessellations]
-        assert all(f.amps.dtype == f.terms.dtype == np.float64 for f in flats)
+        layouts = [_flatten(tess) for tess in tg.tessellations]
+        assert all(b.amps.dtype == b.terms.dtype == np.float64 for _, blocks in layouts for b in blocks)
         rng = np.random.default_rng(9)
         step(tg, WalkState(random_state(rng, tg.num_vertices)))
         step(tg, uniform_state(tg.num_vertices))
-        assert all(_flatten(tess) is flat for tess, flat in zip(tg.tessellations, flats))
+        assert all(_flatten(tess) is layout for tess, layout in zip(tg.tessellations, layouts))
 
     def test_complex_tessellation_has_a_complex_layout(self):
-        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])),))
-        assert _flatten(tess).amps.dtype == _flatten(tess).terms.dtype == np.complex128
+        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
+        assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess)[1])
 
     def test_threads_stepping_one_cover_match_their_serial_walks(self):
         # each thread compiles its own layout, so no thread writes into the

@@ -203,6 +203,15 @@ class TestSimpleGraph:
         assert SimpleGraph(4, [(3.0, 2)]).edge_array.tolist() == [[2, 3]]
         assert SimpleGraph(4, np.array([[0.0, 1.0]])).edge_array.dtype == np.int64
 
+    @pytest.mark.parametrize("count", [4.7, "5"])
+    def test_non_integer_vertex_count_refused(self, count):
+        with pytest.raises(ValueError, match=f"num_vertices must be an integer, got {count!r}"):
+            SimpleGraph(count, [(0, 3)])
+
+    def test_integral_vertex_count_accepted(self):
+        assert SimpleGraph(4.0, [(0, 3)]).num_vertices == 4
+        assert SimpleGraph(np.int64(5)).num_vertices == 5
+
     def test_normalizes_edges(self):
         g = SimpleGraph(3, frozenset({(2, 0), (0, 1)}))
         assert (0, 2) in g.edges and (0, 1) in g.edges

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_cover, random_state
+from conftest import random_cover, random_state, reflect
 from sqwsim.evolve import WalkState, step
 from sqwsim.graph import (
     GridSpec,
@@ -281,9 +281,7 @@ class TestPerturbedStep:
         state = WalkState(random_state(np.random.default_rng(2), 36))
         ns = NoiseSpec(kind="break_polygons", p=1.0, scope=(0,))
         out = perturbed_step(tg, ns, np.random.default_rng(0), state)
-        from sqwsim.evolve import apply_tessellation
-
-        ref = apply_tessellation(tg.tessellations[1], state)
+        ref = reflect(tg.tessellations[1], state)
         np.testing.assert_allclose(out.amplitudes, ref.amplitudes, atol=1e-13)
 
     def test_zero_amplitude_entry_rejected_by_both_routes(self):

@@ -1,7 +1,6 @@
-import numpy as np
 import pytest
 
-from sqwsim.rng import child_seed, run_rng
+from sqwsim.rng import child_seed
 
 
 def test_child_seed_is_stable():
@@ -20,8 +19,3 @@ def test_rejects_negative_master():
     with pytest.raises(ValueError):
         child_seed(-1, 0)
 
-
-def test_run_rng_reproduces_stream():
-    a = run_rng(9, 4).random(5)
-    b = run_rng(9, 4).random(5)
-    np.testing.assert_array_equal(a, b)

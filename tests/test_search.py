@@ -3,7 +3,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import random_state, reflect
 from sqwsim.evolve import WalkState, step, uniform_state
 from sqwsim.graph import GridSpec, make_grid_of_cliques, validate_cover
 from sqwsim.noise import NoiseSpec
@@ -60,10 +60,8 @@ class TestPartialCover:
         part = partial_cover(tg, (1, 1))
         amps = np.zeros(spec.num_vertices, dtype=complex)
         marked_slice = spec.cell_slice(1, 1)
-        from sqwsim.evolve import apply_tessellation
-
         amps[marked_slice] = 0.5
-        out = apply_tessellation(part.tessellations[0], WalkState(amps))
+        out = reflect(part.tessellations[0], WalkState(amps))
         np.testing.assert_allclose(out.amplitudes[marked_slice], -0.5)
 
     def test_rejects_non_grid_cover(self):
