@@ -12,13 +12,15 @@ Lists every file that differs or exists on one side only, and exits 1 on any
 difference, 0 when all are equal and 2 when REF cannot be exported.
 
 The set: the ``evolve_q1`` and ``sweep_search`` benchmark commands at seeds
-0 and 7, each at one and two workers; the C10 sweep at one and two workers;
-a 6,000-step noiseless evolve, which crosses the renormalization guard at
-t = 1000; a q = 3 polygon-noise evolve with each split policy; a noisy
-``search`` at seeds 0 and 7 and one and two workers; ``validate`` on the
-``GridSpec(4, 1)`` cover and on a copy cut by one polygon, input files that
-REF's package writes once for both sides; and two usage errors that exit 2.
-The whole set takes about a minute on a 2-CPU host.
+0 and 7, each at one and two workers, and ``sweep_search`` at seed 0 and
+three workers; the C10 sweep at one and two workers; a 6,000-step noiseless
+evolve, which crosses the renormalization guard at t = 1000; a q = 3
+polygon-noise evolve with each split policy; a noisy ``search`` at seeds 0
+and 7 and one and two workers; a q = 3 ``search`` under singleton polygon
+splits; ``validate`` on the ``GridSpec(4, 1)`` cover and on a copy cut by one
+polygon, input files that REF's package writes once for both sides; and two
+usage errors that exit 2.  The whole set takes about a minute on a 2-CPU
+host.
 """
 from __future__ import annotations
 
@@ -58,10 +60,12 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
             calls[f"evolve_q1_seed{seed}_w{workers}"] = [
                 "evolve", "--n", "100", "--q", "1", "--steps", "100", "--runs", "16",
                 "--noise", "vertices", "--p", "0.01", "--seed", seed, "--workers", workers, *_EVOLVE_OUT]
-            calls[f"sweep_search_seed{seed}_w{workers}"] = [
-                "sweep", "--n-list", "10,20", "--q-list", "1,2,3", "--p-list", "0,0.01,0.1",
-                "--noise", "polygons", "--split", "one_vs_rest", "--runs", "20",
-                "--seed", seed, "--workers", workers, "--out", "sweep.csv"]
+    # at three workers the pool's chunks of runs straddle combos unevenly
+    for seed, workers in (("0", "1"), ("0", "2"), ("0", "3"), ("7", "1"), ("7", "2")):
+        calls[f"sweep_search_seed{seed}_w{workers}"] = [
+            "sweep", "--n-list", "10,20", "--q-list", "1,2,3", "--p-list", "0,0.01,0.1",
+            "--noise", "polygons", "--split", "one_vs_rest", "--runs", "20",
+            "--seed", seed, "--workers", workers, "--out", "sweep.csv"]
     for workers in ("1", "2"):
         calls[f"c10_sweep_w{workers}"] = [
             "sweep", "--n-list", "6,8", "--p-list", "0,0.05", "--noise", "polygons",
@@ -78,6 +82,10 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
             calls[f"search_seed{seed}_w{workers}"] = [
                 "search", "--n", "10", "--q", "2", "--marked", "3,4", "--noise", "vertices", "--p", "0.02",
                 "--runs", "8", "--seed", seed, "--workers", workers, "--out", "search.csv"]
+    # polygon breaks patched onto the gathered blocks of a q = 3 partial cover
+    calls["search_q3_polygons_singletons"] = [
+        "search", "--n", "10", "--q", "3", "--noise", "polygons", "--p", "0.05", "--split", "singletons",
+        "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]
     for cover in ("grid", "cut"):
         calls[f"validate_{cover}"] = [
             "validate", "--graph", str(inputs / "grid.graph"), "--cover", str(inputs / f"{cover}.cover")]

@@ -195,18 +195,22 @@ def displacement_experiment(
     if not (0 <= x0 < spec.n and 0 <= y0 < spec.n):
         raise ValueError(f"origin {origin} outside the {spec.n}x{spec.n} grid")
 
-    tg = make_grid_of_cliques(spec)
     seeds = [child_seed(master_seed, r) for r in range(runs)]
-    start = localized_clique_state(spec, *origin)
 
-    def sigma_of(state: WalkState) -> float:
-        return torus_displacement_stats(position_distribution(state, spec), origin).sigma
+    def prepare():
+        tg = make_grid_of_cliques(spec)
+        start = localized_clique_state(spec, *origin)
 
-    def run(rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
-        sigma, final = _trajectory(tg, start, steps, noise, rng, sigma_of)
-        return sigma, position_distribution(final, spec).probabilities
+        def sigma_of(state: WalkState) -> float:
+            return torus_displacement_stats(position_distribution(state, spec), origin).sigma
 
-    sigmas, finals = zip(*_map_runs(run, seeds, workers, replicate=noise.is_off))
+        def run(rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+            sigma, final = _trajectory(tg, start, steps, noise, rng, sigma_of)
+            return sigma, position_distribution(final, spec).probabilities
+
+        return run
+
+    sigmas, finals = zip(*_map_runs([(prepare, seeds, noise.is_off)], workers)[0])
     mean_final = np.mean(np.asarray(finals), axis=0)
     return DisplacementResult(
         sigma=aggregate(sigmas),

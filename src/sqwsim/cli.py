@@ -24,7 +24,7 @@ from .evolve import InvariantError
 from .graph import GridSpec, ParseError, read_cover, read_graph, validate_cover
 from .noise import NoiseSpec
 from .rng import child_seed
-from .search import SearchConfig, default_step_budget, peak_metrics, run_search
+from .search import SearchConfig, SuccessSeries, _run_searches, default_step_budget, peak_metrics, run_search
 
 _KIND_BY_FLAG = {"none": "none", "vertices": "break_vertices", "polygons": "break_polygons"}
 
@@ -131,11 +131,10 @@ def _write(path: str, command: str, params: list[tuple[str, str]], seed: int, se
     Path(path).write_text("\n".join(lines + seed_lines + body) + "\n", encoding="utf-8", newline="\n")
 
 
-def _search(cfg: SearchConfig, workers: int):
-    """The runs of one search, their mean success curve and its peak metrics."""
-    series = run_search(cfg, workers=workers)
+def _summarize(series: list[SuccessSeries]):
+    """The mean success curve of a search's runs and its peak metrics."""
     curve = aggregate([s.probabilities for s in series])
-    return series, curve, peak_metrics(curve.mean)
+    return curve, peak_metrics(curve.mean)
 
 
 def cmd_validate(args) -> int:
@@ -194,7 +193,8 @@ def cmd_search(args) -> int:
         runs=args.runs,
         master_seed=seed,
     )
-    series, agg, summary = _search(cfg, _resolve_workers(args))
+    series = run_search(cfg, workers=_resolve_workers(args))
+    agg, summary = _summarize(series)
     lines = ["step,mean_success,ci_halfwidth"]
     for t in range(cfg.max_steps + 1):
         lines.append(f"{t},{_fmt(agg.mean[t])},{_fmt(agg.ci_halfwidth[t])}")
@@ -223,34 +223,39 @@ def cmd_sweep(args) -> int:
     if args.noise == "none" and any(p != 0.0 for p in p_list):
         raise ValueError("--p-list with non-zero entries requires --noise vertices or polygons")
 
-    seed_lines: list[str] = []
-    rows: list[str] = []
-    combo = 0
+    combos = []
     for n in n_list:
         for q in q_list:
             for p in p_list:
                 spec = GridSpec(n, q)
-                noise = _noise_from_args(args, p=p)
-                combo_seed = child_seed(seed, combo)
-                cfg = SearchConfig(
+                combos.append((n, q, p, SearchConfig(
                     spec=spec,
-                    noise=noise,
+                    noise=_noise_from_args(args, p=p),
                     max_steps=default_step_budget(spec, args.steps_factor),
                     runs=args.runs,
-                    master_seed=combo_seed,
-                )
-                series, _, summary = _search(cfg, workers)
-                peaks = aggregate([[s.probabilities.max()] for s in series])
+                    master_seed=child_seed(seed, len(combos)),
+                )))
+    cfgs = [cfg for *_, cfg in combos]
+    if workers == 1:
+        # One call per combo, so that each combo's walk runs inside its own
+        # run_search call, where the traced benchmark counts a search's steps.
+        results = [run_search(cfg) for cfg in cfgs]
+    else:
+        results = _run_searches(cfgs, workers)
 
-                label = f"n={n},q={q},p={_fmt(p)}"
-                run_seeds = ",".join(str(s.run_seed) for s in series)
-                seed_lines.append(f"# combo[{label}] seed: {combo_seed}")
-                seed_lines.append(f"# combo[{label}] run_seeds: {run_seeds}")
-                rows.append(
-                    f"{n},{q},{_fmt(p)},{_fmt(peaks.mean[0])},{_fmt(peaks.ci_halfwidth[0])},"
-                    f"{summary.t_peak},{_fmt(summary.running_time)}"
-                )
-                combo += 1
+    seed_lines: list[str] = []
+    rows: list[str] = []
+    for (n, q, p, cfg), series in zip(combos, results):
+        _, summary = _summarize(series)
+        peaks = aggregate([[s.probabilities.max()] for s in series])
+        label = f"n={n},q={q},p={_fmt(p)}"
+        run_seeds = ",".join(str(s.run_seed) for s in series)
+        seed_lines.append(f"# combo[{label}] seed: {cfg.master_seed}")
+        seed_lines.append(f"# combo[{label}] run_seeds: {run_seeds}")
+        rows.append(
+            f"{n},{q},{_fmt(p)},{_fmt(peaks.mean[0])},{_fmt(peaks.ci_halfwidth[0])},"
+            f"{summary.t_peak},{_fmt(summary.running_time)}"
+        )
 
     params = [
         ("n_list", ",".join(str(n) for n in n_list)),

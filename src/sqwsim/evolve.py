@@ -10,11 +10,15 @@ and per-polygon factors running along the block's rows.  Both tessellations
 of the grid of cliques and the coin tessellation of a regular graph are one
 block each; a tessellation that is one block over vertices 0..E-1 in
 polygon order is read and written in place, with no gather or scatter.
-Noise enters a reflection as a mask of detached entries, built per block
-from a sampled plan inside :func:`_reflect`: each polygon is reweighted by the
-squared amplitudes of its surviving entries, and a detached entry either
-leaves the cover (a broken vertex) or becomes a singleton polygon (an entry
-split off a broken polygon).  The compiled layout is private to this module.
+Noise detaches entries from their polygons, as a sampled plan says: each
+polygon is reweighted by the squared amplitudes of its surviving entries, and
+a detached entry either leaves the cover (a broken vertex) or becomes a
+singleton polygon (an entry split off a broken polygon).  Broken vertices
+enter a reflection as a dense per-entry mask.  Broken polygons are patched
+onto the clean pass instead: a block compiles, on its first split, each
+polygon's renormalizing factor whole and with each one entry split off, so a
+split touches only the broken polygons' columns.  The compiled layout is
+private to this module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -127,13 +131,13 @@ class _Block:
     """Compiled layout of the polygons of one size m in a tessellation.
 
     Per-entry arrays (``amps``, their conjugates ``conj_amps``, their
-    squared magnitudes ``amps2``, the gather ``index`` and the noise masks)
-    are (m, P) for the block's P polygons: row j holds slot j of every
+    squared magnitudes ``amps2``, the gather ``index`` and the vertex-noise
+    mask) are (m, P) for the block's P polygons: row j holds slot j of every
     polygon, so a polygon sum adds m rows of length P and a per-polygon
-    value, such as a mask of whole polygons, broadcasts over the rows (a
-    (P, m) block would loop over rows of only m entries).  ``polygons``
-    lists the block's polygons by their index in the tessellation, and is
-    ``slice(None)`` when the block holds them all.
+    value broadcasts over the rows (a (P, m) block would loop over rows of
+    only m entries).  ``polygons`` lists the block's polygons by their index
+    in the tessellation, and is ``slice(None)`` when the block holds them
+    all.
 
     ``index`` is None when the tessellation is this one block over vertices
     0..E-1 in polygon order, as for the cells of the grid of cliques: the
@@ -165,27 +169,47 @@ class _Block:
             return arr[: self.amps.size].reshape(self.amps.shape[::-1]).T
         return arr[self.index]
 
-    def split_mask(self, polygons: np.ndarray, slots: np.ndarray | None) -> np.ndarray:
-        """The entries split off the listed polygons that the block holds: all
-        their entries ((P,), broadcast over the rows) when ``slots`` is None,
-        else entry ``slots[i]`` of polygon ``polygons[i]`` ((m, P)).
-        ``polygons`` are ascending indices into the tessellation."""
+    def held(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
+        """The block columns of the listed polygons that the block holds, and
+        the flat index into the (m, P) arrays of entry ``slots[i]`` of each
+        (None when ``slots`` is None).  ``polygons`` are ascending indices
+        into the tessellation."""
         if isinstance(self.polygons, np.ndarray):
             columns = np.searchsorted(self.polygons, polygons)
             held = self.polygons.take(columns, mode="clip") == polygons
-            polygons = columns[held]
-            slots = None if slots is None else slots[held]
-        if slots is None:
-            mask = np.zeros(self.amps.shape[1], dtype=bool)
-            mask[polygons] = True
-        else:
-            mask = np.zeros(self.amps.shape, dtype=bool)
-            mask[slots, polygons] = True
-        return mask
+            polygons, slots = columns[held], None if slots is None else slots[held]
+        return polygons, None if slots is None else slots * self.amps.shape[1] + polygons
 
-    def reflect(self, vec: np.ndarray, out: np.ndarray, drop: np.ndarray | None, split: bool) -> None:
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        """The vertex of each entry, (m, P): the gather index, or built on the
+        first split of a block read in place."""
+        if self.index is not None:
+            return self.index
+        return np.ascontiguousarray(self.gather(np.arange(self.amps.size)))
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """2/weight per polygon, the weight being its sum of |amplitude|^2:
+        the factor of a reflection that splits some of the tessellation's
+        polygons, for the polygons it leaves whole.  Built on the block's
+        first split."""
+        return _inverse_weights(self.amps2, False)
+
+    @cached_property
+    def lone_scale(self) -> np.ndarray:
+        """Row j: 2/weight per polygon with the entry of slot j split off, the
+        factor of a polygon that loses that one entry.  (m, P), built on the
+        block's first one_vs_rest split."""
+        slots = np.arange(self.amps.shape[0])[:, None]
+        return np.array([_inverse_weights(self.amps2, slots == j) for j in range(slots.size)])
+
+    def reflect(self, vec: np.ndarray, out: np.ndarray, drop: np.ndarray | None = None,
+                split: tuple[np.ndarray, np.ndarray | None] | None = None) -> None:
         """Write the block's entries of the reflection of ``vec`` into ``out``
-        (see :func:`_reflect`); ``drop`` broadcasts to (m, P)."""
+        (see :func:`_reflect`).  ``drop`` is an (m, P) mask of broken
+        vertices; ``split`` is the block columns of the broken polygons and
+        their lone entries (None under singleton splits), see :meth:`held`."""
         if self.index is None:
             sv = self.gather(vec)
             res = self.gather(out)
@@ -195,29 +219,53 @@ class _Block:
             sv = np.take(vec, self.index, out=self.gathered[0], mode="clip")
             res = self.gathered[1]
         terms = np.multiply(self.conj_amps, sv, out=self.terms)
-        if drop is None:
-            factor = 2.0 * _polygon_sums(terms)
-        else:
-            weight = _polygon_sums(np.where(drop, 0.0, self.amps2))
+        if drop is not None:
+            scale = _inverse_weights(self.amps2, drop)
             np.copyto(terms, 0.0, where=drop)
-            scale = np.zeros_like(weight)
-            np.divide(2.0, weight, out=scale, where=weight > 0.0)
             factor = _polygon_sums(terms) * scale
+        elif split is not None:
+            # The clean pass, renormalized, with the broken columns patched: a
+            # lone entry leaves its polygon's sum and weight.  A polygon split
+            # into singletons keeps none of its entries, which are all
+            # overwritten below, so its factor is never read.
+            columns, entries = split
+            if entries is None:
+                factor = _polygon_sums(terms) * self.scale
+                lone = self.vertices.take(columns, axis=1)
+            else:
+                terms.reshape(-1)[entries] = 0.0  # a view: terms is C-contiguous
+                factor = _polygon_sums(terms)
+                broken = factor[columns] * self.lone_scale.take(entries)
+                factor *= self.scale
+                factor[columns] = broken
+                lone = self.vertices.take(entries)
+        else:
+            factor = 2.0 * _polygon_sums(terms)
         np.multiply(factor, self.amps, out=res)
         res -= sv
         if drop is not None:
-            if split:
-                np.copyto(res, sv, where=drop)
-            else:
-                np.negative(sv, out=res, where=drop)
+            np.negative(sv, out=res, where=drop)
         if self.index is not None:
             out[self.index] = res
+        if split is not None:
+            # each split-off entry reflects as a singleton polygon: +1
+            out[lone] = vec[lone]
 
 
 def _polygon_sums(entries: np.ndarray) -> np.ndarray:
     """Per-polygon sums of an (m, P) block: the first slot plus the sum of
     the others.  The CLI outputs, compared byte for byte, depend on this order."""
     return entries[0] + np.add.reduce(entries[1:], axis=0)
+
+
+def _inverse_weights(amps2: np.ndarray, drop) -> np.ndarray:
+    """2/weight per polygon of an (m, P) block of |amplitude|^2, the weight
+    summing the entries ``drop`` leaves (it broadcasts to (m, P)); 0 for a
+    polygon with nothing left."""
+    weight = _polygon_sums(np.where(drop, 0.0, amps2))
+    scale = np.zeros_like(weight)
+    np.divide(2.0, weight, out=scale, where=weight > 0.0)
+    return scale
 
 
 #: A compiled tessellation: the number E of vertices it covers, and its
@@ -286,20 +334,23 @@ def _reflect(
     weight (the sum of |amplitude|^2 over entries not detached).  A broken
     vertex leaves the cover and picks up the -I term; a split-off entry
     reflects as a singleton polygon of its own and picks up +1.  A vertex
-    covered by no polygon picks up the -I term.  A real block reflects the
-    real and imaginary parts of a complex vector one after the other.
+    covered by no polygon picks up the -I term.  Broken vertices mask every
+    entry of each block.  Broken polygons patch only their own columns onto
+    the clean pass; a tessellation with any break renormalizes every
+    polygon, whole ones too, by its survivor weight.  A real block reflects
+    the real and imaginary parts of a complex vector one after the other.
     """
     covered, blocks = layout
     if covered and blocks[0].index is None:
         np.negative(vec[covered:], out=out[covered:])
     elif covered < vec.size:
         np.negative(vec, out=out)
-    split = breaks is not None
     for block in blocks:
-        if split:
-            block_drop = block.split_mask(breaks.broken, breaks.lone_slot)
-        else:
-            block_drop = None if drop is None else block.gather(drop)
+        block_drop = split = None
+        if breaks is not None:
+            split = block.held(breaks.broken, breaks.lone_slot)
+        elif drop is not None:
+            block_drop = block.gather(drop)
         if vec.dtype == block.amps.dtype:
             block.reflect(vec, out, block_drop, split)
         else:

@@ -8,8 +8,10 @@ marked clique after each step.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -137,9 +139,23 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:
     are independent of ``workers``; noiseless runs are computed once and
     replicated.
     """
-    tg = make_grid_of_cliques(cfg.spec)
-    partial = partial_cover(tg, cfg.marked)
-    seeds = [child_seed(cfg.master_seed, r) for r in range(cfg.runs)]
+    return _run_searches([cfg], workers)[0]
+
+
+def _run_searches(cfgs: list[SearchConfig], workers: int) -> list[list[SuccessSeries]]:
+    """The runs of every search in ``cfgs``, in (search, run) order: one
+    task list over one pool of up to ``workers`` processes, so a worker that
+    finishes one search's runs goes on with the next."""
+    jobs = [(functools.partial(_search_run, cfg), [child_seed(cfg.master_seed, r) for r in range(cfg.runs)],
+             cfg.noise.is_off) for cfg in cfgs]
+    return [[SuccessSeries(s, seed) for s, seed in zip(series, seeds)]
+            for series, (_, seeds, _) in zip(_map_runs(jobs, workers), jobs)]
+
+
+def _search_run(cfg: SearchConfig) -> Callable[[np.random.Generator | None], np.ndarray]:
+    """One run of a search: its success series, walked on the partial cover
+    from the uniform state, drawing its noise from the generator given."""
+    partial = partial_cover(make_grid_of_cliques(cfg.spec), cfg.marked)
     start = uniform_state(cfg.spec.num_vertices)
 
     def observe(state: WalkState) -> float:
@@ -148,8 +164,7 @@ def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:
     def run(rng: np.random.Generator | None) -> np.ndarray:
         return _trajectory(partial, start, cfg.max_steps, cfg.noise, rng, observe)[0]
 
-    series = _map_runs(run, seeds, workers, replicate=cfg.noise.is_off)
-    return [SuccessSeries(s, seed) for s, seed in zip(series, seeds)]
+    return run
 
 
 def peak_metrics(mean_series: np.ndarray) -> RunSummary:

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,27 @@ class TestSweepCommand:
         steps = default_step_budget(GridSpec(4, 1), 1e15)
         assert capsys.readouterr().err == f"error: step budget {steps} is too large to record its series\n"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_one_pool_per_sweep_and_equal_bytes_at_any_worker_count(self, tmp_path, monkeypatch):
+        # four noisy combos and four noiseless ones share one pool
+        pools = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        args = ["sweep", "--n-list", "4,5", "--q-list", "1,2", "--p-list", "0,0.1", "--noise", "polygons",
+                "--split", "one_vs_rest", "--runs", "3", "--seed", "5"]
+        outputs, built = {}, {}
+        for workers in ("1", "2", "3"):
+            pools.clear()
+            out = tmp_path / f"w{workers}.csv"
+            assert main(args + ["--workers", workers, "--out", str(out)]) == 0
+            outputs[workers], built[workers] = out.read_bytes(), list(pools)
+        assert built == {"1": [], "2": [2], "3": [3]}
+        assert outputs["2"] == outputs["1"] and outputs["3"] == outputs["1"]
 
     def test_scope_without_polygon_noise_exits_2(self, tmp_path, capsys):
         rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--scope", "0", "--out", str(tmp_path / "x.csv")])

@@ -11,6 +11,7 @@ from sqwsim.evolve import (
     WalkState,
     _flatten,
     _norm,
+    _polygon_sums,
     localized_clique_state,
     renormalize_if_drifting,
     step,
@@ -215,6 +216,101 @@ class TestCompiledLayout:
             sys.setswitchinterval(interval)
         for alone, together in zip(serial, threaded):
             assert together.tobytes() == alone.tobytes()
+
+
+def _dense_split_step(plan, state: WalkState) -> np.ndarray:
+    """One step under a polygon-noise plan, each block reflected with a dense
+    per-entry mask of the split entries: the formula that the patch of the
+    broken columns onto the clean pass must reproduce bit for bit."""
+    vec = state._amps
+    layouts = [_flatten(tess) for tess in plan.cover.tessellations]
+    if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
+        vec = vec.astype(np.complex128)
+    for t_idx, (tess, (_, blocks)) in enumerate(zip(plan.cover.tessellations, layouts)):
+        breaks, split, out = plan.polygon_breaks.get(t_idx), np.zeros(vec.size, dtype=bool), -vec
+        if breaks is not None:
+            whole = [np.arange(tess.starts[c], tess.starts[c + 1]) for c in breaks.broken]
+            lone = None if breaks.lone_slot is None else tess.starts[breaks.broken] + breaks.lone_slot
+            split[tess.vertices[np.concatenate(whole) if lone is None else lone]] = True
+        for block in blocks:
+            drop = np.ascontiguousarray(block.gather(split))
+            parts = [(vec, out)] if vec.dtype == block.amps.dtype else [(vec.real, out.real), (vec.imag, out.imag)]
+            for v, o in parts:
+                sv = block.gather(v)
+                terms = np.multiply(block.conj_amps, sv, out=np.empty_like(block.terms))
+                if breaks is None:
+                    factor = 2.0 * _polygon_sums(terms)
+                else:
+                    weight = _polygon_sums(np.where(drop, 0.0, block.amps2))
+                    np.copyto(terms, 0.0, where=drop)
+                    scale = np.zeros_like(weight)
+                    np.divide(2.0, weight, out=scale, where=weight > 0.0)
+                    factor = _polygon_sums(terms) * scale
+                res = factor * block.amps - sv
+                np.copyto(res, sv, where=drop)
+                if block.index is None:
+                    block.gather(o)[...] = res
+                else:
+                    o[block.index] = res
+        vec = out
+    return vec
+
+
+def _real_ragged_cover(rng: np.random.Generator, num: int) -> TessellatedGraph:
+    """Two tessellations of random real polygons of sizes 1..12 over all
+    ``num`` vertices, so each compiles to several blocks of listed polygons."""
+    tessellations = []
+    for _ in range(2):
+        perm, polys, pos = rng.permutation(num), [], 0
+        while pos < num:
+            verts = perm[pos : pos + int(rng.integers(1, 13))]
+            amps = rng.uniform(0.3, 1.0, verts.size) * rng.choice([-1.0, 1.0], verts.size)
+            polys.append(Polygon(verts, amps / np.sqrt(np.sum(amps * amps))))
+            pos += verts.size
+        tessellations.append(Tessellation(tuple(polys)))
+    return TessellatedGraph(SimpleGraph(num), tuple(tessellations))
+
+
+def _split_covers() -> dict[str, TessellatedGraph]:
+    covers = {}
+    for q in (1, 3):
+        tg = make_grid_of_cliques(GridSpec(6, q))
+        covers[f"grid_q{q}"] = tg
+        covers[f"partial_q{q}"] = partial_cover(tg, (2, 3))
+    # degrees 1 to 5: a coin tessellation of five polygon sizes, one of them 1
+    ring = [(v, (v + 1) % 12) for v in range(12)]
+    irregular = SimpleGraph(13, frozenset(ring + [(0, 3), (0, 6), (0, 8), (2, 9), (4, 10), (5, 12)]))
+    covers["coined"] = coined_to_staggered(irregular)[0]
+    covers["ragged_real"] = _real_ragged_cover(np.random.default_rng(21), 90)
+    covers["ragged_complex"] = random_cover(np.random.default_rng(22), 90, 2, max_polygon=12)
+    return covers
+
+
+SPLIT_COVERS = _split_covers()
+
+
+class TestSplitPatch:
+    """A polygon break patches its columns onto the clean pass; the result
+    must equal the dense split mask's bit for bit, on every layout, for real
+    and complex states, under both split policies."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    @pytest.mark.parametrize("cover", sorted(SPLIT_COVERS))
+    def test_patched_split_equals_dense_mask_bit_for_bit(self, cover, policy, p):
+        tg = SPLIT_COVERS[cover]
+        spec = NoiseSpec(kind="break_polygons", p=p, split_policy=policy)
+        rng = np.random.default_rng(23)
+        real = rng.normal(size=tg.num_vertices)
+        broken = 0
+        for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, tg.num_vertices))):
+            for _ in range(12):
+                plan = sample_plan(tg, spec, rng)
+                broken += sum(b.broken.size for b in plan.polygon_breaks.values())
+                expected = _dense_split_step(plan, state)
+                state = plan_step(plan, state)
+                assert np.array_equal(state._amps, expected)
+        assert broken > 0
 
 
 class TestStep:
