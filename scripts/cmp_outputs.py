@@ -15,9 +15,9 @@ The set: the ``evolve_q1`` and ``sweep_search`` benchmark commands at seeds
 0 and 7, each at one and two workers, and ``sweep_search`` at seed 0 and
 three workers; the C10 sweep at one and two workers; a 6,000-step noiseless
 evolve, which crosses the renormalization guard at t = 1000; a q = 3
-polygon-noise evolve with each split policy; a noisy ``search`` at seeds 0
-and 7 and one and two workers; a q = 3 ``search`` under singleton polygon
-splits; ``validate`` on the ``GridSpec(4, 1)`` cover and on a copy cut by one
+evolve under each split policy and under vertex noise; a noisy ``search`` at
+seeds 0 and 7 and one and two workers; a q = 3 ``search`` under singleton
+polygon splits and one under vertex noise; ``validate`` on the ``GridSpec(4, 1)`` cover and on a copy cut by one
 polygon, input files that REF's package writes once for both sides; and two
 usage errors that exit 2.  The whole set takes about a minute on a 2-CPU
 host.
@@ -77,6 +77,10 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
         calls[f"evolve_q3_polygons_{split}"] = [
             "evolve", "--n", "20", "--q", "3", "--steps", "60", "--runs", "8", "--noise", "polygons",
             "--p", "0.05", "--split", split, "--seed", "3", "--workers", "1", *_EVOLVE_OUT]
+    # q = 3 cells of 12 entries, which broken vertices often hit more than once
+    calls["evolve_q3_vertices"] = [
+        "evolve", "--n", "20", "--q", "3", "--steps", "60", "--runs", "8", "--noise", "vertices",
+        "--p", "0.05", "--seed", "3", "--workers", "1", *_EVOLVE_OUT]
     for seed in ("0", "7"):
         for workers in ("1", "2"):
             calls[f"search_seed{seed}_w{workers}"] = [
@@ -85,6 +89,9 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
     # polygon breaks patched onto the gathered blocks of a q = 3 partial cover
     calls["search_q3_polygons_singletons"] = [
         "search", "--n", "10", "--q", "3", "--noise", "polygons", "--p", "0.05", "--split", "singletons",
+        "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]
+    calls["search_q3_vertices"] = [
+        "search", "--n", "10", "--q", "3", "--noise", "vertices", "--p", "0.1",
         "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]
     for cover in ("grid", "cut"):
         calls[f"validate_{cover}"] = [

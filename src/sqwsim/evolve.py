@@ -13,12 +13,14 @@ polygon order is read and written in place, with no gather or scatter.
 Noise detaches entries from their polygons, as a sampled plan says: each
 polygon is reweighted by the squared amplitudes of its surviving entries, and
 a detached entry either leaves the cover (a broken vertex) or becomes a
-singleton polygon (an entry split off a broken polygon).  Broken vertices
-enter a reflection as a dense per-entry mask.  Broken polygons are patched
-onto the clean pass instead: a block compiles, on its first split, each
-polygon's renormalizing factor whole and with each one entry split off, so a
-split touches only the broken polygons' columns.  The compiled layout is
-private to this module.
+singleton polygon (an entry split off a broken polygon).  Both kinds of break
+are patched onto the clean pass: a block compiles, on its first break, each
+polygon's renormalizing factor whole (and, on its first one_vs_rest split,
+with each one entry detached), so a break touches only the columns of the
+polygons that lose entries: a split reads their factors from these tables,
+and the polygons that broken vertices hit are weighed anew.  The detached
+entries are written after the blocks.  The compiled layout is private to
+this module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -131,13 +133,12 @@ class _Block:
     """Compiled layout of the polygons of one size m in a tessellation.
 
     Per-entry arrays (``amps``, their conjugates ``conj_amps``, their
-    squared magnitudes ``amps2``, the gather ``index`` and the vertex-noise
-    mask) are (m, P) for the block's P polygons: row j holds slot j of every
-    polygon, so a polygon sum adds m rows of length P and a per-polygon
-    value broadcasts over the rows (a (P, m) block would loop over rows of
-    only m entries).  ``polygons`` lists the block's polygons by their index
-    in the tessellation, and is ``slice(None)`` when the block holds them
-    all.
+    squared magnitudes ``amps2`` and the gather ``index``) are (m, P) for
+    the block's P polygons: row j holds slot j of every polygon, so a
+    polygon sum adds m rows of length P and a per-polygon value broadcasts
+    over the rows (a (P, m) block would loop over rows of only m entries).
+    ``polygons`` lists the block's polygons by their index in the
+    tessellation, and is ``slice(None)`` when the block holds them all.
 
     ``index`` is None when the tessellation is this one block over vertices
     0..E-1 in polygon order, as for the cells of the grid of cliques: the
@@ -169,17 +170,6 @@ class _Block:
             return arr[: self.amps.size].reshape(self.amps.shape[::-1]).T
         return arr[self.index]
 
-    def held(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple[np.ndarray, np.ndarray | None]:
-        """The block columns of the listed polygons that the block holds, and
-        the flat index into the (m, P) arrays of entry ``slots[i]`` of each
-        (None when ``slots`` is None).  ``polygons`` are ascending indices
-        into the tessellation."""
-        if isinstance(self.polygons, np.ndarray):
-            columns = np.searchsorted(self.polygons, polygons)
-            held = self.polygons.take(columns, mode="clip") == polygons
-            polygons, slots = columns[held], None if slots is None else slots[held]
-        return polygons, None if slots is None else slots * self.amps.shape[1] + polygons
-
     @cached_property
     def vertices(self) -> np.ndarray:
         """The vertex of each entry, (m, P): the gather index, or built on the
@@ -191,25 +181,86 @@ class _Block:
     @cached_property
     def scale(self) -> np.ndarray:
         """2/weight per polygon, the weight being its sum of |amplitude|^2:
-        the factor of a reflection that splits some of the tessellation's
-        polygons, for the polygons it leaves whole.  Built on the block's
-        first split."""
-        return _inverse_weights(self.amps2, False)
+        the factor of a perturbed reflection for the polygons it leaves
+        whole.  Built on the block's first break."""
+        return _inverse_weights(self.amps2)
 
     @cached_property
     def lone_scale(self) -> np.ndarray:
-        """Row j: 2/weight per polygon with the entry of slot j split off, the
+        """Row j: 2/weight per polygon with the entry of slot j detached, the
         factor of a polygon that loses that one entry.  (m, P), built on the
         block's first one_vs_rest split."""
         slots = np.arange(self.amps.shape[0])[:, None]
-        return np.array([_inverse_weights(self.amps2, slots == j) for j in range(slots.size)])
+        return np.array([_inverse_weights(np.where(slots == j, 0.0, self.amps2)) for j in range(slots.size)])
 
-    def reflect(self, vec: np.ndarray, out: np.ndarray, drop: np.ndarray | None = None,
-                split: tuple[np.ndarray, np.ndarray | None] | None = None) -> None:
+    @cached_property
+    def key_of(self) -> np.ndarray:
+        """The key of each vertex of a gathered block, -1 for a vertex it
+        does not hold, up to one past its largest vertex, so that a clipped
+        lookup of any larger vertex reads -1 too.  The key of slot j of
+        column c is c * m + j; a block read in place needs no map, since
+        there the key of a vertex is the vertex.  Built on the block's first
+        vertex break."""
+        keys = self.index.T.reshape(-1)
+        dtype = np.int32 if keys.size < 2**31 else np.int64
+        key_of = np.full(int(keys.max()) + 2, -1, dtype=dtype)
+        key_of[keys] = np.arange(keys.size, dtype=dtype)
+        return key_of
+
+    def split(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple[tuple, np.ndarray]:
+        """The patch (see :meth:`reflect`) of a plan that splits the listed
+        polygons, ascending indices into the tessellation, and the vertices
+        it splits off the polygons that the block holds: entry ``slots[i]``
+        of polygon ``polygons[i]``, or all their entries when ``slots`` is
+        None."""
+        if isinstance(self.polygons, np.ndarray):
+            columns = np.searchsorted(self.polygons, polygons)
+            held = self.polygons.take(columns, mode="clip") == polygons
+            polygons, slots = columns[held], None if slots is None else slots[held]
+        if slots is None:
+            # the broken polygons keep no entry, so their factors are never read
+            return (None, self.scale), self.vertices.take(polygons, axis=1)
+        entries = slots * self.amps.shape[1] + polygons
+        scale = self.scale.copy()
+        scale[polygons] = self.lone_scale.take(entries)
+        return (entries, scale), self.vertices.take(entries)
+
+    def lost(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entries that the broken ``vertices`` (ascending) take out of
+        the block, as flat indices into the (m, P) arrays, and the factor
+        2/weight of every polygon over the entries it keeps (0 when it keeps
+        none)."""
+        m, size = self.amps.shape
+        if self.index is None:
+            keys = vertices[: np.searchsorted(vertices, self.amps.size)]
+        else:
+            keys = self.key_of.take(vertices, mode="clip")
+            keys = keys[keys >= 0]
+            keys.sort()
+        columns, rows = np.divmod(keys, m)
+        entries = rows * size + columns
+        # Weigh every hit polygon anew.  A C-ordered copy of two or more
+        # columns sums row by row, as the whole block does; one column sums
+        # pairwise, as a one-polygon block.
+        first = np.empty(keys.size, dtype=bool)  # the first lost entry of each polygon
+        first[:1] = True
+        np.not_equal(columns[1:], columns[:-1], out=first[1:])
+        hit = columns[first]
+        kept = self.amps2.take(np.repeat(hit, 2) if hit.size == 1 < size else hit, axis=1)
+        kept[rows, hit.searchsorted(columns)] = 0.0
+        scale = self.scale.copy()
+        scale[hit] = _inverse_weights(kept)[: hit.size]
+        return entries, scale
+
+    def reflect(self, vec: np.ndarray, out: np.ndarray,
+                patch: tuple[np.ndarray | None, np.ndarray] | None = None) -> None:
         """Write the block's entries of the reflection of ``vec`` into ``out``
-        (see :func:`_reflect`).  ``drop`` is an (m, P) mask of broken
-        vertices; ``split`` is the block columns of the broken polygons and
-        their lone entries (None under singleton splits), see :meth:`held`."""
+        (see :func:`_reflect`), but for the detached entries, which the
+        caller writes.  ``patch`` is None for a clean reflection, else
+        ``(entries, scale)``: the detached entries to leave out of the
+        polygon sums, as flat indices into the (m, P) arrays (None when no
+        polygon keeps any of its entries), and each polygon's factor
+        2/weight over the entries it keeps."""
         if self.index is None:
             sv = self.gather(vec)
             res = self.gather(out)
@@ -219,37 +270,19 @@ class _Block:
             sv = np.take(vec, self.index, out=self.gathered[0], mode="clip")
             res = self.gathered[1]
         terms = np.multiply(self.conj_amps, sv, out=self.terms)
-        if drop is not None:
-            scale = _inverse_weights(self.amps2, drop)
-            np.copyto(terms, 0.0, where=drop)
-            factor = _polygon_sums(terms) * scale
-        elif split is not None:
-            # The clean pass, renormalized, with the broken columns patched: a
-            # lone entry leaves its polygon's sum and weight.  A polygon split
-            # into singletons keeps none of its entries, which are all
-            # overwritten below, so its factor is never read.
-            columns, entries = split
-            if entries is None:
-                factor = _polygon_sums(terms) * self.scale
-                lone = self.vertices.take(columns, axis=1)
-            else:
-                terms.reshape(-1)[entries] = 0.0  # a view: terms is C-contiguous
-                factor = _polygon_sums(terms)
-                broken = factor[columns] * self.lone_scale.take(entries)
-                factor *= self.scale
-                factor[columns] = broken
-                lone = self.vertices.take(entries)
-        else:
+        if patch is None:
             factor = 2.0 * _polygon_sums(terms)
+        else:
+            # The clean pass, renormalized: a detached entry leaves its
+            # polygon's sum as it left its weight.
+            entries, scale = patch
+            if entries is not None:
+                terms.reshape(-1)[entries] = 0.0  # a view: terms is C-contiguous
+            factor = _polygon_sums(terms) * scale
         np.multiply(factor, self.amps, out=res)
         res -= sv
-        if drop is not None:
-            np.negative(sv, out=res, where=drop)
         if self.index is not None:
             out[self.index] = res
-        if split is not None:
-            # each split-off entry reflects as a singleton polygon: +1
-            out[lone] = vec[lone]
 
 
 def _polygon_sums(entries: np.ndarray) -> np.ndarray:
@@ -258,13 +291,12 @@ def _polygon_sums(entries: np.ndarray) -> np.ndarray:
     return entries[0] + np.add.reduce(entries[1:], axis=0)
 
 
-def _inverse_weights(amps2: np.ndarray, drop) -> np.ndarray:
+def _inverse_weights(amps2: np.ndarray) -> np.ndarray:
     """2/weight per polygon of an (m, P) block of |amplitude|^2, the weight
-    summing the entries ``drop`` leaves (it broadcasts to (m, P)); 0 for a
-    polygon with nothing left."""
-    weight = _polygon_sums(np.where(drop, 0.0, amps2))
-    scale = np.zeros_like(weight)
-    np.divide(2.0, weight, out=scale, where=weight > 0.0)
+    being the polygon sum of the entries it keeps (detached ones are 0); 0
+    for a polygon with nothing left."""
+    scale = _polygon_sums(amps2)
+    np.divide(2.0, scale, out=scale, where=scale > 0.0)
     return scale
 
 
@@ -318,27 +350,28 @@ def _reflect(
     layout: _Layout,
     vec: np.ndarray,
     out: np.ndarray,
-    drop: np.ndarray | None = None,
+    broken: np.ndarray | None = None,
     breaks=None,
 ) -> np.ndarray:
     """out = (2 sum_j |P_j><P_j| - I) vec for the tessellation compiled to
     ``layout``, optionally perturbed, and return ``out``.  ``out`` must not
     alias ``vec``.
 
-    Entries detach from their polygon where the per-vertex mask ``drop`` is
-    True (broken vertices), or are split off the polygons ``breaks.broken``
-    (all their entries, or entry ``breaks.lone_slot[i]`` of polygon
-    ``breaks.broken[i]`` when ``lone_slot`` is set), where ``breaks`` is
-    the tessellation's entry in a plan's ``polygon_breaks`` and wins over
-    ``drop``.  A polygon's surviving block is renormalized by its survivor
-    weight (the sum of |amplitude|^2 over entries not detached).  A broken
-    vertex leaves the cover and picks up the -I term; a split-off entry
-    reflects as a singleton polygon of its own and picks up +1.  A vertex
-    covered by no polygon picks up the -I term.  Broken vertices mask every
-    entry of each block.  Broken polygons patch only their own columns onto
-    the clean pass; a tessellation with any break renormalizes every
-    polygon, whole ones too, by its survivor weight.  A real block reflects
-    the real and imaginary parts of a complex vector one after the other.
+    Entries detach from their polygon at the ascending ``broken`` vertices,
+    or are split off the polygons ``breaks.broken`` (all their entries, or
+    entry ``breaks.lone_slot[i]`` of polygon ``breaks.broken[i]`` when
+    ``lone_slot`` is set), where ``breaks`` is the tessellation's entry in a
+    plan's ``polygon_breaks``; a plan sets at most one of the two.  A
+    polygon's surviving block is renormalized by its survivor weight (the
+    sum of |amplitude|^2 over entries not detached).  A broken vertex
+    leaves the cover and picks up the -I term; a split-off entry reflects
+    as a singleton polygon of its own and picks up +1.  A vertex covered by no
+    polygon picks up the -I term.  Either kind of break is patched onto the
+    clean pass: only the columns of the polygons that lose entries are
+    recomputed, and the detached entries are written after the blocks.  A
+    tessellation with any break renormalizes every polygon, whole ones too,
+    by its survivor weight.  A real block reflects the real and imaginary
+    parts of a complex vector one after the other.
     """
     covered, blocks = layout
     if covered and blocks[0].index is None:
@@ -346,16 +379,22 @@ def _reflect(
     elif covered < vec.size:
         np.negative(vec, out=out)
     for block in blocks:
-        block_drop = split = None
+        patch = split_off = None
         if breaks is not None:
-            split = block.held(breaks.broken, breaks.lone_slot)
-        elif drop is not None:
-            block_drop = block.gather(drop)
+            patch, split_off = block.split(breaks.broken, breaks.lone_slot)
+        elif broken is not None:
+            patch = block.lost(broken)
         if vec.dtype == block.amps.dtype:
-            block.reflect(vec, out, block_drop, split)
+            block.reflect(vec, out, patch)
         else:
-            block.reflect(vec.real, out.real, block_drop, split)
-            block.reflect(vec.imag, out.imag, block_drop, split)
+            block.reflect(vec.real, out.real, patch)
+            block.reflect(vec.imag, out.imag, patch)
+        if split_off is not None:
+            # each split-off entry reflects as a singleton polygon: +1
+            out[split_off] = vec[split_off]
+    if broken is not None:
+        # a broken vertex leaves the cover: -1
+        out[broken] = -vec[broken]
     return out
 
 
@@ -364,13 +403,13 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     when given.
 
     ``plan`` is a sampled :class:`sqwsim.noise.BreakPlan`, read only through
-    its ``broken_vertex_mask`` and ``polygon_breaks`` (``sqwsim.noise``
-    imports this module, so the type is not imported here): a broken vertex
-    detaches from its polygon in every tessellation and leaves the cover,
-    and the split-off entries of a broken polygon detach and become
-    singletons.  The step walks in the dtype of the state's buffer, promoted
-    once to complex128 when a tessellation has complex amplitudes, so only
-    complex tessellations run in complex128.  Reflections alternate between
+    its ``broken_vertex_mask``, ``broken_vertices`` and ``polygon_breaks``
+    (``sqwsim.noise`` imports this module, so the type is not imported
+    here): a broken vertex detaches from its polygon in every tessellation
+    and leaves the cover, and the split-off entries of a broken polygon
+    detach and become singletons.  The step walks in the dtype of the
+    state's buffer, promoted once to complex128 when a tessellation has
+    complex amplitudes, so only complex tessellations run in complex128.  Reflections alternate between
     two buffers, so a step allocates at most two state vectors.
     """
     vec = state._amps
@@ -379,12 +418,12 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     layouts = [_flatten(tess) for tess in tg.tessellations]
     if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
         vec = vec.astype(np.complex128, copy=False)
-    vmask = None if plan is None else plan.broken_vertex_mask
+    broken = None if plan is None or plan.broken_vertex_mask is None else plan.broken_vertices
     breaks = {} if plan is None else plan.polygon_breaks
     buffers = [np.empty_like(vec) for _ in range(min(2, len(layouts)))]
     cur = vec
     for t_idx, layout in enumerate(layouts):
-        cur = _reflect(layout, cur, buffers[t_idx % 2], vmask, breaks.get(t_idx))
+        cur = _reflect(layout, cur, buffers[t_idx % 2], broken, breaks.get(t_idx))
     return WalkState._written(cur)
 
 

@@ -14,8 +14,8 @@ Two break models, both keeping every step exactly unitary:
 Perturbations are resampled from the unperturbed cover at every step
 (:func:`perturbed_step`), which is how the trajectories of both the spreading
 and the search experiments are walked.  :func:`plan_step` hands a sampled
-plan to the step loop of :mod:`sqwsim.evolve`, which turns it into one
-per-entry mask per reflection on the unperturbed cover;
+plan to the step loop of :mod:`sqwsim.evolve`, which patches the polygons it
+hits onto each clean reflection of the unperturbed cover;
 :func:`sqwsim.oracle.apply_plan` materializes the same plan as an explicit
 perturbed cover for cross-checks.
 """
@@ -148,7 +148,7 @@ def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
 
     Equivalent to ``step(sqwsim.oracle.apply_plan(cover, plan), state)`` up
     to floating round-off, but nothing is rebuilt per step: the step loop
-    of :mod:`sqwsim.evolve` masks the unperturbed cover's reflections, so a
+    of :mod:`sqwsim.evolve` patches the unperturbed cover's reflections, so a
     broken vertex drops out of its polygon in every tessellation and leaves
     the cover, and the split-off entries of a broken polygon drop out and
     reflect as singletons.  An empty plan takes exactly the clean path of

@@ -1,9 +1,9 @@
-"""Differential property tests of the masked step.
+"""Differential property tests of the noisy step.
 
 For random covers of every layout the compiled kernel distinguishes (equal
 polygon sizes in random or vertex order, partial covers, polygons of
 different sizes in random or vertex order, empty tessellations) and random noise plans, three routes
-must agree: the masked fast step ``plan_step``, the step on the materialized
+must agree: the patched fast step ``plan_step``, the step on the materialized
 perturbed cover ``step(apply_plan(...))`` and the dense oracle.  Covers and
 states are drawn complex or real, so the float64 route that a real cover
 takes with a real state faces the oracle too, on every layout and under both

@@ -219,26 +219,31 @@ class TestCompiledLayout:
 
 
 def _dense_split_step(plan, state: WalkState) -> np.ndarray:
-    """One step under a polygon-noise plan, each block reflected with a dense
-    per-entry mask of the split entries: the formula that the patch of the
-    broken columns onto the clean pass must reproduce bit for bit."""
+    """One step under a plan, each block reflected with a dense per-entry
+    mask of the detached entries: the formula that the patch of the hit
+    columns onto the clean pass must reproduce bit for bit.  A split-off
+    entry gets +sv, a broken vertex -sv."""
     vec = state._amps
     layouts = [_flatten(tess) for tess in plan.cover.tessellations]
     if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
         vec = vec.astype(np.complex128)
+    vertex_mask = plan.broken_vertex_mask
+    sign = 1.0 if vertex_mask is None else -1.0
     for t_idx, (tess, (_, blocks)) in enumerate(zip(plan.cover.tessellations, layouts)):
         breaks, split, out = plan.polygon_breaks.get(t_idx), np.zeros(vec.size, dtype=bool), -vec
         if breaks is not None:
             whole = [np.arange(tess.starts[c], tess.starts[c + 1]) for c in breaks.broken]
             lone = None if breaks.lone_slot is None else tess.starts[breaks.broken] + breaks.lone_slot
             split[tess.vertices[np.concatenate(whole) if lone is None else lone]] = True
+        elif vertex_mask is not None:
+            split = vertex_mask
         for block in blocks:
             drop = np.ascontiguousarray(block.gather(split))
             parts = [(vec, out)] if vec.dtype == block.amps.dtype else [(vec.real, out.real), (vec.imag, out.imag)]
             for v, o in parts:
                 sv = block.gather(v)
                 terms = np.multiply(block.conj_amps, sv, out=np.empty_like(block.terms))
-                if breaks is None:
+                if breaks is None and vertex_mask is None:
                     factor = 2.0 * _polygon_sums(terms)
                 else:
                     weight = _polygon_sums(np.where(drop, 0.0, block.amps2))
@@ -247,7 +252,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
                     np.divide(2.0, weight, out=scale, where=weight > 0.0)
                     factor = _polygon_sums(terms) * scale
                 res = factor * block.amps - sv
-                np.copyto(res, sv, where=drop)
+                np.copyto(res, sign * sv, where=drop)
                 if block.index is None:
                     block.gather(o)[...] = res
                 else:
@@ -283,6 +288,9 @@ def _split_covers() -> dict[str, TessellatedGraph]:
     covers["coined"] = coined_to_staggered(irregular)[0]
     covers["ragged_real"] = _real_ragged_cover(np.random.default_rng(21), 90)
     covers["ragged_complex"] = random_cover(np.random.default_rng(22), 90, 2, max_polygon=12)
+    # three tessellations: a broken vertex picks up -1 from each, so an odd
+    # count tells its sign in a whole step
+    covers["ragged_complex3"] = random_cover(np.random.default_rng(22), 90, 3, max_polygon=12)
     return covers
 
 
@@ -290,27 +298,53 @@ SPLIT_COVERS = _split_covers()
 
 
 class TestSplitPatch:
-    """A polygon break patches its columns onto the clean pass; the result
-    must equal the dense split mask's bit for bit, on every layout, for real
-    and complex states, under both split policies."""
+    """A polygon break or a broken vertex patches the hit columns onto the
+    clean pass; the result must equal the dense mask's bit for bit, on every
+    layout, for real and complex states, under both split policies and
+    under vertex noise."""
+
+    def test_ragged_covers_hold_a_one_polygon_block_of_at_least_nine_entries(self):
+        # a one-column block sums its polygon pairwise from nine entries on,
+        # which the weights of a polygon that broken vertices hit must match
+        for cover in ("ragged_real", "ragged_complex", "ragged_complex3"):
+            blocks = [b for tess in SPLIT_COVERS[cover].tessellations for b in _flatten(tess)[1]]
+            assert any(b.amps.shape[1] == 1 and b.amps.shape[0] >= 9 for b in blocks), cover
 
     @pytest.mark.parametrize("p", [0.01, 0.1, 1.0])
-    @pytest.mark.parametrize("policy", SPLIT_POLICIES)
+    @pytest.mark.parametrize("kind", [*SPLIT_POLICIES, "vertices"])
     @pytest.mark.parametrize("cover", sorted(SPLIT_COVERS))
-    def test_patched_split_equals_dense_mask_bit_for_bit(self, cover, policy, p):
+    def test_patched_split_equals_dense_mask_bit_for_bit(self, cover, kind, p):
         tg = SPLIT_COVERS[cover]
-        spec = NoiseSpec(kind="break_polygons", p=p, split_policy=policy)
+        if kind == "vertices":
+            spec = NoiseSpec(kind="break_vertices", p=p)
+        else:
+            spec = NoiseSpec(kind="break_polygons", p=p, split_policy=kind)
         rng = np.random.default_rng(23)
         real = rng.normal(size=tg.num_vertices)
-        broken = 0
+        broken = several = 0
         for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, tg.num_vertices))):
             for _ in range(12):
                 plan = sample_plan(tg, spec, rng)
-                broken += sum(b.broken.size for b in plan.polygon_breaks.values())
+                broken += plan.broken_vertices.size + sum(b.broken.size for b in plan.polygon_breaks.values())
+                several += _polygons_losing_several(plan)
                 expected = _dense_split_step(plan, state)
                 state = plan_step(plan, state)
                 assert np.array_equal(state._amps, expected)
         assert broken > 0
+        if kind == "vertices" and p == 0.1:
+            assert several > 0
+
+
+def _polygons_losing_several(plan) -> int:
+    """How many polygons lose two or more, but not all, of their entries to
+    the plan's broken vertices."""
+    if plan.broken_vertex_mask is None:
+        return 0
+    count = 0
+    for tess in plan.cover.tessellations:
+        lost = np.add.reduceat(plan.broken_vertex_mask[tess.vertices], tess.starts[:-1])
+        count += int(np.sum((lost >= 2) & (lost < tess.sizes)))
+    return count
 
 
 class TestStep:

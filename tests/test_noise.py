@@ -294,7 +294,7 @@ class TestPerturbedStep:
 
     def test_mixed_plan_rejected(self):
         # apply_plan would drop only the vertex, plan_step would let the
-        # polygon break replace the vertex mask on tessellation 0
+        # polygon break replace the broken vertex on tessellation 0
         tg = make_grid_of_cliques(GridSpec(2, 1))
         mask = np.zeros(tg.num_vertices, dtype=bool)
         mask[0] = True
