@@ -15,7 +15,8 @@ The set: the ``evolve_q1`` and ``sweep_search`` benchmark commands at seeds
 0 and 7, each at one and two workers, and ``sweep_search`` at seed 0 and
 three workers; the C10 sweep at one and two workers; a 6,000-step noiseless
 evolve, which crosses the renormalization guard at t = 1000; a q = 3
-evolve under each split policy and under vertex noise; a noisy ``search`` at
+evolve under each split policy and under vertex noise; a q = 2 evolve from
+origin (7, 3) under singleton polygon splits; a noisy ``search`` at
 seeds 0 and 7 and one and two workers; a q = 3 ``search`` under singleton
 polygon splits and one under vertex noise; ``validate`` on the ``GridSpec(4, 1)`` cover and on a copy cut by one
 polygon, input files that REF's package writes once for both sides; and two
@@ -81,6 +82,11 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
     calls["evolve_q3_vertices"] = [
         "evolve", "--n", "20", "--q", "3", "--steps", "60", "--runs", "8", "--noise", "vertices",
         "--p", "0.05", "--seed", "3", "--workers", "1", *_EVOLVE_OUT]
+    # the only call that walks q = 2 or starts off the origin, where sigma
+    # reads the cached minimal-image displacements of a nonzero origin
+    calls["evolve_q2_origin_7_3"] = [
+        "evolve", "--n", "20", "--q", "2", "--origin", "7,3", "--steps", "40", "--runs", "4", "--noise", "polygons",
+        "--split", "singletons", "--p", "0.05", "--seed", "5", *_EVOLVE_OUT]
     for seed in ("0", "7"):
         for workers in ("1", "2"):
             calls[f"search_seed{seed}_w{workers}"] = [

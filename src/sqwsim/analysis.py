@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .evolve import WalkState, _abs2, localized_clique_state
+from .evolve import WalkState, localized_clique_state
 from .graph import GridSpec, make_grid_of_cliques
 from .noise import NoiseSpec, _trajectory
 from .rng import _map_runs, child_seed
@@ -61,18 +62,32 @@ def position_distribution(state: WalkState, spec: GridSpec) -> PositionDistribut
     """Collapse vertex probabilities onto cells."""
     if state.num_vertices != spec.num_vertices:
         raise ValueError("state size does not match the grid")
-    slots = _abs2(state).reshape(-1, spec.cell_size)
-    # Adding the strided slot columns in order makes n^2-long passes; summing
-    # each cell's row makes numpy loop over n^2 rows of only 4q entries.
-    probs = slots[:, 0].copy()
-    for k in range(1, spec.cell_size):
-        probs += slots[:, k]
+    # Squaring and adding the strided slot columns in order makes n^2-long
+    # passes and no state-sized array; summing each cell's row makes numpy
+    # loop over n^2 rows of only 4q entries.
+    slots = state._amps.reshape(-1, spec.cell_size)
+    probs, square = np.empty(slots.shape[0]), np.empty(slots.shape[0])
+    for k in range(spec.cell_size):
+        slot, into = slots[:, k], square if k else probs
+        if slot.dtype == np.float64:
+            np.multiply(slot, slot, out=into)
+        else:
+            np.multiply(slot.real, slot.real, out=into)
+            into += slot.imag * slot.imag
+        if k:
+            probs += square
     return PositionDistribution(probs.reshape(spec.n, spec.n))
 
 
-def _minimal_image(n: int, origin: int) -> np.ndarray:
-    half = n // 2
-    return ((np.arange(n) - origin + half) % n) - half
+@lru_cache(maxsize=64)
+def _displacements(n: int, origin: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal-image displacements from ``origin`` along one axis of the
+    n-torus, as floats, and their squares; read-only, built once per (n, origin)."""
+    dx = (((np.arange(n) - origin + n // 2) % n) - n // 2).astype(np.float64)
+    dx2 = dx**2
+    for arr in (dx, dx2):
+        arr.setflags(write=False)
+    return dx, dx2
 
 
 def torus_displacement_stats(dist: PositionDistribution, origin: tuple[int, int] = (0, 0)) -> DisplacementStats:
@@ -80,13 +95,12 @@ def torus_displacement_stats(dist: PositionDistribution, origin: tuple[int, int]
     sigma = sqrt(Var(dx) + Var(dy)) under minimal-image displacements."""
     n = dist.n
     x0, y0 = origin
-    dx = _minimal_image(n, x0).astype(np.float64)
-    dy = _minimal_image(n, y0).astype(np.float64)
+    (dx, dx2), (dy, dy2) = _displacements(n, x0), _displacements(n, y0)
     px = dist.probabilities.sum(axis=1)
     py = dist.probabilities.sum(axis=0)
     mean_dx = float(dx @ px)
     mean_dy = float(dy @ py)
-    second = float((dx**2) @ px + (dy**2) @ py)
+    second = float(dx2 @ px + dy2 @ py)
     var = max(second - mean_dx**2 - mean_dy**2, 0.0)
     return DisplacementStats(mean_dx, mean_dy, math.sqrt(var))
 

@@ -6,10 +6,14 @@ applies the tessellations of a cover in index order.  A tessellation is
 compiled into blocks, one per polygon size m: the entries of the block's P
 polygons form m slots by P polygons, so a reflection costs a few vectorized
 passes per block instead of a Python loop over polygons, with polygon sums
-and per-polygon factors running along the block's rows.  Both tessellations
-of the grid of cliques and the coin tessellation of a regular graph are one
-block each; a tessellation that is one block over vertices 0..E-1 in
-polygon order is read and written in place, with no gather or scatter.
+and per-polygon factors running along the block's rows.  A tessellation
+that is one block over vertices 0..E-1 in polygon order, as the cells of the
+grid of cliques and the coin tessellation of a regular graph are, is read
+and written in place.  Any other tessellation compiles one permutation of
+the vertices below one past its largest (its blocks' entries, then the
+vertices it leaves uncovered) and its inverse: a reflection gathers through
+the one and writes back through the other, with one ``take`` each.
+
 Noise detaches entries from their polygons, as a sampled plan says: each
 polygon is reweighted by the squared amplitudes of its surviving entries, and
 a detached entry either leaves the cover (a broken vertex) or becomes a
@@ -18,9 +22,9 @@ are patched onto the clean pass: a block compiles, on its first break, each
 polygon's renormalizing factor whole (and, on its first one_vs_rest split,
 with each one entry detached), so a break touches only the columns of the
 polygons that lose entries: a split reads their factors from these tables,
-and the polygons that broken vertices hit are weighed anew.  The detached
-entries are written after the blocks.  The compiled layout is private to
-this module.
+and the polygons that broken vertices hit are weighed anew.  Each block
+writes its detached entries last.  The compiled layout is private to this
+module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -29,8 +33,8 @@ thread, in float64 when its amplitudes are real, and reflects a complex
 vector's real and imaginary parts one after the other.
 
 The step loop makes no BLAS call: the unit-norm check that every new state
-passes is a plain ufunc reduction, so no BLAS helper thread wakes up and
-spins between steps.
+passes is an ``einsum`` reduction, which makes no temporary and calls no
+BLAS, so no BLAS helper thread wakes up and spins between steps.
 """
 from __future__ import annotations
 
@@ -38,6 +42,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -88,7 +93,9 @@ class WalkState:
         return state
 
     def _hold(self, amps: np.ndarray, error: type[Exception]) -> None:
-        norm = _norm(amps)
+        # einsum's own loop sums the squares with no temporary and no BLAS call
+        parts = amps.view(np.float64)
+        norm = math.sqrt(float(np.einsum("i,i->", parts, parts)))
         if not abs(norm - 1.0) <= STATE_NORM_TOL:
             raise error(f"state norm {norm!r} deviates from 1 beyond {STATE_NORM_TOL}")
         amps.setflags(write=False)
@@ -132,31 +139,28 @@ def localized_clique_state(spec: GridSpec, x: int = 0, y: int = 0) -> WalkState:
 class _Block:
     """Compiled layout of the polygons of one size m in a tessellation.
 
-    Per-entry arrays (``amps``, their conjugates ``conj_amps``, their
-    squared magnitudes ``amps2`` and the gather ``index``) are (m, P) for
-    the block's P polygons: row j holds slot j of every polygon, so a
-    polygon sum adds m rows of length P and a per-polygon value broadcasts
-    over the rows (a (P, m) block would loop over rows of only m entries).
-    ``polygons`` lists the block's polygons by their index in the
-    tessellation, and is ``slice(None)`` when the block holds them all.
+    Per-entry arrays (``amps``, their conjugates ``conj_amps``, which are
+    ``amps`` itself when real, their squared magnitudes ``amps2``, and the
+    vertex ``index`` of each entry) are (m, P) for the block's P polygons:
+    row j holds slot j of every polygon, so a polygon sum adds m rows of
+    length P and a per-polygon value broadcasts over the rows (a (P, m)
+    block would loop over rows of only m entries).  ``polygons`` lists the
+    block's polygons by their index in the tessellation, and is
+    ``slice(None)`` when the block holds them all.
 
-    ``index`` is None when the tessellation is this one block over vertices
-    0..E-1 in polygon order, as for the cells of the grid of cliques: the
-    covered entries are then a view of the state's leading E entries, read
-    and written in place.
-
+    ``index`` and ``gathered`` are None when the tessellation is this one
+    block over vertices 0..E-1 in polygon order, as for the cells of the grid
+    of cliques: the block then reads and writes a view of the state's
+    leading E entries.  Otherwise they are views of its :class:`_Layout`'s
+    permutation and gathered input, from entry ``offset`` on, and the block
+    writes its result over ``terms``, its view of the per-entry products,
+    once the polygon sums have read them.
     ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 when
     every amplitude of the tessellation is real, complex128 otherwise.
-    ``terms`` holds the per-entry products of a reflection, and ``gathered``
-    (when ``index`` is set) its gathered input and its result.  Every
-    reflection reuses them, so a step allocates no entry-sized temporaries:
-    the allocator may hand freed temporaries back to the system and fault
-    their pages in again on the next step (about 750 minor faults per step
-    on the grid at N = 40,000).  Since every reflection writes them, a
-    block belongs to the thread that compiled it.
     """
 
     polygons: slice | np.ndarray
+    offset: int
     index: np.ndarray | None
     amps: np.ndarray
     conj_amps: np.ndarray
@@ -169,14 +173,6 @@ class _Block:
         if self.index is None:
             return arr[: self.amps.size].reshape(self.amps.shape[::-1]).T
         return arr[self.index]
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        """The vertex of each entry, (m, P): the gather index, or built on the
-        first split of a block read in place."""
-        if self.index is not None:
-            return self.index
-        return np.ascontiguousarray(self.gather(np.arange(self.amps.size)))
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -193,102 +189,92 @@ class _Block:
         slots = np.arange(self.amps.shape[0])[:, None]
         return np.array([_inverse_weights(np.where(slots == j, 0.0, self.amps2)) for j in range(slots.size)])
 
-    @cached_property
-    def key_of(self) -> np.ndarray:
-        """The key of each vertex of a gathered block, -1 for a vertex it
-        does not hold, up to one past its largest vertex, so that a clipped
-        lookup of any larger vertex reads -1 too.  The key of slot j of
-        column c is c * m + j; a block read in place needs no map, since
-        there the key of a vertex is the vertex.  Built on the block's first
-        vertex break."""
-        keys = self.index.T.reshape(-1)
-        dtype = np.int32 if keys.size < 2**31 else np.int64
-        key_of = np.full(int(keys.max()) + 2, -1, dtype=dtype)
-        key_of[keys] = np.arange(keys.size, dtype=dtype)
-        return key_of
-
-    def split(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple[tuple, np.ndarray]:
+    def split(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple:
         """The patch (see :meth:`reflect`) of a plan that splits the listed
-        polygons, ascending indices into the tessellation, and the vertices
-        it splits off the polygons that the block holds: entry ``slots[i]``
-        of polygon ``polygons[i]``, or all their entries when ``slots`` is
-        None."""
+        polygons, ascending indices into the tessellation: it splits entry
+        ``slots[i]`` off polygon ``polygons[i]``, or all their entries when
+        ``slots`` is None, where the block holds the polygon."""
         if isinstance(self.polygons, np.ndarray):
             columns = np.searchsorted(self.polygons, polygons)
             held = self.polygons.take(columns, mode="clip") == polygons
             polygons, slots = columns[held], None if slots is None else slots[held]
         if slots is None:
             # the broken polygons keep no entry, so their factors are never read
-            return (None, self.scale), self.vertices.take(polygons, axis=1)
+            return None, polygons[:0], self.scale[:0], (slice(None), polygons), np.positive
         entries = slots * self.amps.shape[1] + polygons
-        scale = self.scale.copy()
-        scale[polygons] = self.lone_scale.take(entries)
-        return (entries, scale), self.vertices.take(entries)
+        return entries, polygons, self.lone_scale.take(entries), (slots, polygons), np.positive
 
-    def lost(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The entries that the broken ``vertices`` (ascending) take out of
-        the block, as flat indices into the (m, P) arrays, and the factor
-        2/weight of every polygon over the entries it keeps (0 when it keeps
-        none)."""
+    def lost(self, keys: np.ndarray) -> tuple:
+        """The patch (see :meth:`reflect`) of the broken vertices: ``keys``
+        are these vertices, ascending, for a block read in place, and their
+        places in the tessellation's permutation for a gathered one."""
         m, size = self.amps.shape
         if self.index is None:
-            keys = vertices[: np.searchsorted(vertices, self.amps.size)]
+            # slot j of column c holds vertex c * m + j
+            columns, rows = np.divmod(keys[: np.searchsorted(keys, self.amps.size)], m)
+            entries = rows * size + columns
         else:
-            keys = self.key_of.take(vertices, mode="clip")
-            keys = keys[keys >= 0]
-            keys.sort()
-        columns, rows = np.divmod(keys, m)
-        entries = rows * size + columns
-        # Weigh every hit polygon anew.  A C-ordered copy of two or more
-        # columns sums row by row, as the whole block does; one column sums
-        # pairwise, as a one-polygon block.
-        first = np.empty(keys.size, dtype=bool)  # the first lost entry of each polygon
-        first[:1] = True
-        np.not_equal(columns[1:], columns[:-1], out=first[1:])
-        hit = columns[first]
-        kept = self.amps2.take(np.repeat(hit, 2) if hit.size == 1 < size else hit, axis=1)
-        kept[rows, hit.searchsorted(columns)] = 0.0
-        scale = self.scale.copy()
-        scale[hit] = _inverse_weights(kept)[: hit.size]
-        return entries, scale
+            entries = keys - self.offset
+            entries = entries[(entries >= 0) & (entries < self.amps.size)]
+            rows, columns = np.divmod(entries, size)
+        # Weigh each hit polygon anew, once per entry it loses, from a copy of
+        # its column with all its lost entries zeroed.  A C-ordered copy of
+        # two or more columns sums row by row, as the whole block does; one
+        # column sums pairwise, as a one-polygon block.
+        hit = columns[:1] if size == 1 else columns
+        amps2 = self.amps2.reshape(-1)  # a view: amps2 is C-contiguous
+        saved = amps2[entries]
+        amps2[entries] = 0.0
+        try:
+            kept = self.amps2.take(np.repeat(hit, 2) if hit.size == 1 < size else hit, axis=1)
+        finally:
+            amps2[entries] = saved
+        return entries, hit, _inverse_weights(kept)[: hit.size], (rows, columns), np.negative
 
-    def reflect(self, vec: np.ndarray, out: np.ndarray,
-                patch: tuple[np.ndarray | None, np.ndarray] | None = None) -> None:
-        """Write the block's entries of the reflection of ``vec`` into ``out``
-        (see :func:`_reflect`), but for the detached entries, which the
-        caller writes.  ``patch`` is None for a clean reflection, else
-        ``(entries, scale)``: the detached entries to leave out of the
-        polygon sums, as flat indices into the (m, P) arrays (None when no
-        polygon keeps any of its entries), and each polygon's factor
-        2/weight over the entries it keeps."""
+    def reflect(self, vec: np.ndarray, out: np.ndarray, patch: tuple | None = None) -> None:
+        """Reflect the block's entries (see :func:`_reflect`): of ``vec`` into
+        ``out`` when the block is read in place, else of ``gathered`` into
+        ``terms``.  ``patch`` is None for a clean reflection, else
+        ``(entries, hit, hit_scale, detached, sign)``: the detached entries
+        to leave out of the polygon sums, as flat indices into the (m, P)
+        arrays (None when no polygon keeps any of its entries); polygons
+        that lose entries, and their factors 2/weight over the entries they
+        keep (the others take ``scale``); the detached entries as an index
+        of the (m, P) arrays; and the ufunc they reflect with, ``np.positive``
+        or ``np.negative``, exact on either sign of zero."""
         if self.index is None:
-            sv = self.gather(vec)
-            res = self.gather(out)
+            sv, res = self.gather(vec), self.gather(out)
         else:
-            # Every caller has checked the state size against the cover, so the
-            # indices are in range; "clip" spares take its bounds-check buffer.
-            sv = np.take(vec, self.index, out=self.gathered[0], mode="clip")
-            res = self.gathered[1]
+            sv, res = self.gathered, self.terms
         terms = np.multiply(self.conj_amps, sv, out=self.terms)
         if patch is None:
-            factor = 2.0 * _polygon_sums(terms)
+            factor = _polygon_sums(terms)
+            factor *= 2.0
         else:
             # The clean pass, renormalized: a detached entry leaves its
             # polygon's sum as it left its weight.
-            entries, scale = patch
+            entries, hit, hit_scale, detached, sign = patch
             if entries is not None:
                 terms.reshape(-1)[entries] = 0.0  # a view: terms is C-contiguous
-            factor = _polygon_sums(terms) * scale
+            factor = _polygon_sums(terms)
+            renormalized = factor[hit] * hit_scale
+            factor *= self.scale
+            factor[hit] = renormalized
         np.multiply(factor, self.amps, out=res)
         res -= sv
-        if self.index is not None:
-            out[self.index] = res
+        if patch is not None:
+            # a split-off entry reflects as a singleton polygon (+1), and a
+            # broken vertex leaves the cover (-1)
+            res[detached] = sign(sv[detached])
 
 
 def _polygon_sums(entries: np.ndarray) -> np.ndarray:
-    """Per-polygon sums of an (m, P) block: the first slot plus the sum of
-    the others.  The CLI outputs, compared byte for byte, depend on this order."""
-    return entries[0] + np.add.reduce(entries[1:], axis=0)
+    """Per-polygon sums of an (m, P) block, as a new array: the first slot
+    plus the sum of the others, added last, in place (a float sum commutes).
+    The CLI outputs, compared byte for byte, depend on this order."""
+    sums = np.add.reduce(entries[1:], axis=0)
+    sums += entries[0]
+    return sums
 
 
 def _inverse_weights(amps2: np.ndarray) -> np.ndarray:
@@ -300,9 +286,23 @@ def _inverse_weights(amps2: np.ndarray) -> np.ndarray:
     return scale
 
 
-#: A compiled tessellation: the number E of vertices it covers, and its
-#: blocks in ascending polygon size.
-_Layout = tuple[int, tuple[_Block, ...]]
+class _Layout(NamedTuple):
+    """A compiled tessellation over the vertices below ``size``, one past its
+    largest.  ``perm`` lists the ``covered`` entries of its ``blocks``, in
+    ascending polygon size, and then the vertices it leaves uncovered;
+    ``inverse`` is the place of each vertex in ``perm``.  ``gathered`` and
+    ``terms`` hold a reflection's input and result in ``perm``'s order.
+    Every reflection reuses them, so a step allocates no entry-sized
+    temporaries, and a layout belongs to the thread that compiled it.  All
+    but ``terms`` are None when the one block is read in place."""
+
+    size: int
+    covered: int
+    blocks: tuple[_Block, ...]
+    perm: np.ndarray | None
+    inverse: np.ndarray | None
+    gathered: np.ndarray | None
+    terms: np.ndarray
 
 
 class _Layouts(threading.local):
@@ -328,31 +328,35 @@ def _flatten(tess: Tessellation) -> _Layout:
         amps = np.ascontiguousarray(amps.real)
     amps2 = amps.real**2 + amps.imag**2
     distinct = _sorted_distinct(sizes).tolist()
-    in_place = len(distinct) == 1 and np.array_equal(vertices, np.arange(vertices.size))
-    blocks = []
-    for m in distinct:
-        polygons = slice(None) if len(distinct) == 1 else np.flatnonzero(sizes == m)
-        entries = tess.starts[:-1][polygons] + np.arange(m)[:, None]
+    groups = [slice(None) if len(distinct) == 1 else np.flatnonzero(sizes == m) for m in distinct]
+    entries = [tess.starts[:-1][polygons] + np.arange(m)[:, None] for m, polygons in zip(distinct, groups)]
+    size = int(vertices.max()) + 1 if vertices.size else 0
+    perm = inverse = gathered = None
+    if len(distinct) > 1 or not np.array_equal(vertices, np.arange(size)):
+        uncovered = np.ones(size, dtype=bool)
+        uncovered[vertices] = False
+        perm = np.concatenate([vertices[e].reshape(-1) for e in entries] + [np.flatnonzero(uncovered)])
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(size)
+        gathered = np.empty(size, dtype=amps.dtype)
+    terms = np.empty(size, dtype=amps.dtype)
+    blocks, offset = [], 0
+    for polygons, e in zip(groups, entries):
+        at = slice(offset, offset + e.size)
+        index, terms_at, gathered_at = (None if a is None else a[at].reshape(e.shape) for a in (perm, terms, gathered))
+        block_amps = amps[e]
         blocks.append(_Block(
-            polygons=polygons,
-            index=None if in_place else vertices[entries],
-            amps=amps[entries],
-            conj_amps=np.conj(amps[entries]),
-            amps2=amps2[entries],
-            terms=np.empty(entries.shape, dtype=amps.dtype),
-            gathered=None if in_place else np.empty((2,) + entries.shape, dtype=amps.dtype),
+            polygons=polygons, offset=offset, index=index, amps=block_amps,
+            conj_amps=block_amps if amps.dtype == np.float64 else np.conj(block_amps),
+            amps2=amps2[e], terms=terms_at, gathered=gathered_at,
         ))
-    layout = _layouts.by_tess[tess] = (int(vertices.size), tuple(blocks))
+        offset += e.size
+    layout = _layouts.by_tess[tess] = _Layout(size, offset, tuple(blocks), perm, inverse, gathered, terms)
     return layout
 
 
-def _reflect(
-    layout: _Layout,
-    vec: np.ndarray,
-    out: np.ndarray,
-    broken: np.ndarray | None = None,
-    breaks=None,
-) -> np.ndarray:
+def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
+             broken: np.ndarray | None = None, breaks=None) -> np.ndarray:
     """out = (2 sum_j |P_j><P_j| - I) vec for the tessellation compiled to
     ``layout``, optionally perturbed, and return ``out``.  ``out`` must not
     alias ``vec``.
@@ -361,40 +365,35 @@ def _reflect(
     or are split off the polygons ``breaks.broken`` (all their entries, or
     entry ``breaks.lone_slot[i]`` of polygon ``breaks.broken[i]`` when
     ``lone_slot`` is set), where ``breaks`` is the tessellation's entry in a
-    plan's ``polygon_breaks``; a plan sets at most one of the two.  A
-    polygon's surviving block is renormalized by its survivor weight (the
-    sum of |amplitude|^2 over entries not detached).  A broken vertex
-    leaves the cover and picks up the -I term; a split-off entry reflects
-    as a singleton polygon of its own and picks up +1.  A vertex covered by no
-    polygon picks up the -I term.  Either kind of break is patched onto the
-    clean pass: only the columns of the polygons that lose entries are
-    recomputed, and the detached entries are written after the blocks.  A
-    tessellation with any break renormalizes every polygon, whole ones too,
-    by its survivor weight.  A real block reflects the real and imaginary
-    parts of a complex vector one after the other.
+    plan's ``polygon_breaks``; a plan sets at most one of the two.  With any
+    break, every polygon is renormalized by its survivor weight (the sum of
+    |amplitude|^2 over entries not detached).  A broken vertex, like one no
+    polygon covers, picks up the -I term; a split-off entry reflects as a
+    singleton polygon and picks up +1.  A real layout reflects the real and
+    imaginary parts of a complex vector one after the other.
     """
-    covered, blocks = layout
-    if covered and blocks[0].index is None:
-        np.negative(vec[covered:], out=out[covered:])
-    elif covered < vec.size:
-        np.negative(vec, out=out)
+    size, covered, blocks, perm, inverse, gathered, terms = layout
+    if vec.dtype != terms.dtype:
+        for part in ("real", "imag"):
+            _reflect(layout, getattr(vec, part), getattr(out, part), broken, breaks)
+        return out
+    np.negative(vec[size:], out=out[size:])
+    if perm is not None:
+        # Every caller has checked the state size against the cover, so the
+        # indices are in range; "clip" spares take its bounds-check buffer.
+        np.take(vec, perm, out=gathered, mode="clip")
+    if broken is not None and perm is not None:
+        broken_keys = inverse.take(broken[: np.searchsorted(broken, size)])
     for block in blocks:
-        patch = split_off = None
+        patch = None
         if breaks is not None:
-            patch, split_off = block.split(breaks.broken, breaks.lone_slot)
+            patch = block.split(breaks.broken, breaks.lone_slot)
         elif broken is not None:
-            patch = block.lost(broken)
-        if vec.dtype == block.amps.dtype:
-            block.reflect(vec, out, patch)
-        else:
-            block.reflect(vec.real, out.real, patch)
-            block.reflect(vec.imag, out.imag, patch)
-        if split_off is not None:
-            # each split-off entry reflects as a singleton polygon: +1
-            out[split_off] = vec[split_off]
-    if broken is not None:
-        # a broken vertex leaves the cover: -1
-        out[broken] = -vec[broken]
+            patch = block.lost(broken if perm is None else broken_keys)
+        block.reflect(vec, out, patch)
+    if perm is not None:
+        np.negative(gathered[covered:], out=terms[covered:])
+        np.take(terms, inverse, out=out[:size], mode="clip")
     return out
 
 
@@ -416,7 +415,7 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
     layouts = [_flatten(tess) for tess in tg.tessellations]
-    if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
+    if any(layout.terms.dtype == np.complex128 for layout in layouts):
         vec = vec.astype(np.complex128, copy=False)
     broken = None if plan is None or plan.broken_vertex_mask is None else plan.broken_vertices
     breaks = {} if plan is None else plan.polygon_breaks

@@ -15,7 +15,7 @@ from sqwsim.analysis import (
     position_distribution,
     torus_displacement_stats,
 )
-from sqwsim.evolve import WalkState, localized_clique_state, uniform_state
+from sqwsim.evolve import WalkState, _abs2, localized_clique_state, uniform_state
 from sqwsim.graph import GridSpec
 from sqwsim.noise import NoiseSpec
 
@@ -109,6 +109,55 @@ class TestTorusDisplacementStats:
     def test_wraparound_uses_minimal_image(self):
         stats = torus_displacement_stats(delta_distribution(10, 9, 0), origin=(0, 0))
         assert stats.mean_dx == pytest.approx(-1.0)
+
+
+def _slot_sum_probabilities(state: WalkState, spec: GridSpec) -> np.ndarray:
+    """The earlier cell probabilities: every |amplitude|^2 of the state at
+    once, then the cells' slot columns added in slot order."""
+    slots = _abs2(state).reshape(-1, spec.cell_size)
+    probs = slots[:, 0].copy()
+    for k in range(1, spec.cell_size):
+        probs += slots[:, k]
+    return probs.reshape(spec.n, spec.n)
+
+
+def _minimal_image(n: int, origin: int) -> np.ndarray:
+    half = n // 2
+    return ((np.arange(n) - origin + half) % n) - half
+
+
+def _fresh_displacement_stats(dist: PositionDistribution, origin: tuple[int, int]) -> tuple:
+    """The earlier displacement statistics, with minimal-image vectors built
+    afresh on every call."""
+    dx = _minimal_image(dist.n, origin[0]).astype(np.float64)
+    dy = _minimal_image(dist.n, origin[1]).astype(np.float64)
+    px, py = dist.probabilities.sum(axis=1), dist.probabilities.sum(axis=0)
+    mean_dx, mean_dy = float(dx @ px), float(dy @ py)
+    second = float((dx**2) @ px + (dy**2) @ py)
+    return mean_dx, mean_dy, math.sqrt(max(second - mean_dx**2 - mean_dy**2, 0.0))
+
+
+class TestSigmaBits:
+    """Sigma is an output compared byte for byte: the column-at-a-time
+    squares and the cached displacements must give the bits of the formulas
+    above."""
+
+    @pytest.mark.parametrize("far", [False, True], ids=["origin_0_0", "origin_last_2"])
+    @pytest.mark.parametrize("q", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_distribution_and_stats_keep_their_bits(self, dtype, q, far):
+        spec = GridSpec(9, q)
+        origin = (spec.n - 1, 2) if far else (0, 0)
+        rng = np.random.default_rng(40 + q)
+        amps = random_state(rng, spec.num_vertices)
+        if dtype == np.float64:
+            amps = amps.real / np.linalg.norm(amps.real)
+        state = WalkState(amps)
+        assert state._amps.dtype == dtype
+        dist = position_distribution(state, spec)
+        assert np.array_equal(dist.probabilities, _slot_sum_probabilities(state, spec))
+        for _ in range(2):  # the second call reads the cached displacements
+            assert tuple(torus_displacement_stats(dist, origin)) == _fresh_displacement_stats(dist, origin)
 
 
 class TestClassicalWalk:

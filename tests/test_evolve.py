@@ -26,7 +26,8 @@ from sqwsim.graph import (
     coined_to_staggered,
     make_grid_of_cliques,
 )
-from sqwsim.noise import SPLIT_POLICIES, NoiseSpec, _trajectory, plan_step, sample_plan
+from sqwsim.noise import SPLIT_POLICIES, BreakPlan, NoiseSpec, _trajectory, plan_step, sample_plan
+from sqwsim.oracle import _dense_reflection
 from sqwsim.search import partial_cover
 
 
@@ -42,6 +43,23 @@ class TestWalkState:
     def test_rejects_nan_amplitude(self):
         with pytest.raises(ValueError, match="norm"):
             WalkState(np.array([np.nan, 0.0]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_norm_check_of_a_written_buffer_fires(self, dtype):
+        rng = np.random.default_rng(13)
+        base = rng.normal(size=1000) + (1j * rng.normal(size=1000) if dtype == np.complex128 else 0.0)
+        base /= _norm(base)
+        for drift in (5e-11, -5e-11):
+            amps = base * (1.0 + drift)
+            assert abs(_norm(amps) - 1.0) == pytest.approx(5e-11, rel=1e-4)
+            assert WalkState._written(amps)._amps is amps
+        for drift in (2e-10, -2e-10):
+            with pytest.raises(InvariantError, match="norm"):
+                WalkState._written(base * (1.0 + drift))
+        amps = base.copy()
+        amps[3] = np.nan
+        with pytest.raises(InvariantError, match="norm"):
+            WalkState._written(amps)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_copies_its_input(self, dtype):
@@ -121,22 +139,46 @@ class TestApplyTessellation:
             np.testing.assert_allclose(twice.amplitudes, state.amplitudes, atol=1e-13)
 
 
+def _mixed_sizes(order: str) -> tuple[Tessellation, np.ndarray, list[int]]:
+    """Polygons of sizes 3, 1, 2, 3, 1, 2 over vertices 0..11, in polygon
+    order or permuted."""
+    verts = np.arange(12) if order == "in_order" else np.random.default_rng(4).permutation(12)
+    bounds = [0, 3, 4, 6, 9, 10, 12]
+    return Tessellation(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))), verts, bounds
+
+
+def _gathered_case(case: str) -> tuple[Tessellation, list[int]]:
+    """A tessellation that compiles to a permutation, and the vertices below
+    its largest that it leaves uncovered."""
+    if case == "grid_links":
+        return make_grid_of_cliques(GridSpec(3, 2)).tessellations[1], []
+    if case == "partial_cells":
+        # the marked cell (1, 1) holds vertices 16..19
+        return partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1)).tessellations[0], [16, 17, 18, 19]
+    if case == "skipping":
+        polygons = (Polygon.uniform([6, 2]), Polygon.uniform([0]), Polygon.uniform([5, 3]))
+        return Tessellation(polygons), [1, 4]
+    return _mixed_sizes(case.removeprefix("mixed_"))[0], []
+
+
 class TestCompiledLayout:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_grid_tessellations_are_blocks_cells_in_place(self, q):
         spec = GridSpec(3, q)
-        (_, (cells,)), (_, (links,)) = (_flatten(t) for t in make_grid_of_cliques(spec).tessellations)
+        (cells,), (links,) = (_flatten(t).blocks for t in make_grid_of_cliques(spec).tessellations)
         assert cells.amps.shape == (4 * q, 9) and cells.index is None
         assert links.amps.shape == (2 * q, 18) and links.index is not None
 
     def test_partial_cover_keeps_a_gathered_block(self):
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1))
-        covered, (block,) = _flatten(tg.tessellations[0])
-        assert covered == 32 and block.amps.shape == (4, 8) and block.index is not None
+        layout = _flatten(tg.tessellations[0])
+        (block,) = layout.blocks
+        assert (layout.size, layout.covered) == (36, 32)
+        assert block.amps.shape == (4, 8) and block.index is not None
 
     def test_coin_tessellation_of_a_regular_graph_is_an_in_place_block(self):
         cycle = SimpleGraph(5, frozenset((v, (v + 1) % 5) for v in range(5)))
-        (_, (coin,)), (_, (shift,)) = (_flatten(t) for t in coined_to_staggered(cycle)[0].tessellations)
+        (coin,), (shift,) = (_flatten(t).blocks for t in coined_to_staggered(cycle)[0].tessellations)
         assert coin.amps.shape == (2, 5) and coin.index is None
         assert shift.amps.shape == (2, 5)
 
@@ -144,17 +186,50 @@ class TestCompiledLayout:
     def test_mixed_sizes_make_one_block_per_size(self, order):
         # polygons of sizes 3, 1, 2, 3, 1, 2: one gathered block per size, in
         # ascending size, even over vertices 0..E-1 in polygon order
-        verts = np.arange(12) if order == "in_order" else np.random.default_rng(4).permutation(12)
-        bounds = [0, 3, 4, 6, 9, 10, 12]
-        tess = Tessellation(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])))
-        covered, blocks = _flatten(tess)
-        assert covered == 12
-        assert [block.amps.shape for block in blocks] == [(1, 2), (2, 2), (3, 2)]
-        assert sorted(np.concatenate([block.polygons for block in blocks]).tolist()) == list(range(6))
-        for block in blocks:
+        tess, verts, bounds = _mixed_sizes(order)
+        layout = _flatten(tess)
+        assert layout.size == layout.covered == 12
+        assert [block.amps.shape for block in layout.blocks] == [(1, 2), (2, 2), (3, 2)]
+        assert sorted(np.concatenate([block.polygons for block in layout.blocks]).tolist()) == list(range(6))
+        for block in layout.blocks:
             assert block.index is not None
             for column, j in enumerate(block.polygons):
                 assert block.index[:, column].tolist() == verts[bounds[j] : bounds[j + 1]].tolist()
+
+    @pytest.mark.parametrize("case", ["grid_links", "partial_cells", "mixed_permuted", "mixed_in_order", "skipping"])
+    def test_permutation_and_its_inverse_undo_each_other(self, case):
+        # a gathered tessellation reads the vertices below one past its
+        # largest in one permutation: its blocks' entries, block by block, and
+        # then the vertices it leaves uncovered
+        tess, uncovered = _gathered_case(case)
+        layout = _flatten(tess)
+        everything = np.arange(layout.size)
+        assert layout.size == int(tess.vertices.max()) + 1
+        assert np.array_equal(layout.perm[layout.inverse], everything)
+        assert np.array_equal(layout.inverse[layout.perm], everything)
+        assert layout.perm[layout.covered :].tolist() == uncovered
+        assert layout.covered == tess.vertices.size == layout.size - len(uncovered)
+        offset = 0
+        for block in layout.blocks:
+            assert block.offset == offset
+            assert np.array_equal(block.index.reshape(-1), layout.perm[offset : offset + block.amps.size])
+            assert np.shares_memory(block.gathered, layout.gathered) and np.shares_memory(block.terms, layout.terms)
+            offset += block.amps.size
+        assert offset == layout.covered
+
+    def test_tessellation_skipping_a_vertex_reflects_as_the_dense_matrix(self):
+        # vertices 1 and 4 below the largest, and 7 and 8 above it, are uncovered
+        tess, _ = _gathered_case("skipping")
+        state = WalkState(random_state(np.random.default_rng(12), 9))
+        expected = _dense_reflection(tess, 9) @ state.amplitudes
+        np.testing.assert_allclose(reflect(tess, state).amplitudes, expected, atol=1e-15)
+
+    def test_real_blocks_share_their_amplitudes_as_conjugates(self):
+        for tess in partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1)).tessellations:
+            assert all(b.conj_amps is b.amps for b in _flatten(tess).blocks)
+        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
+        for b in _flatten(tess).blocks:
+            assert b.conj_amps is not b.amps and np.array_equal(b.conj_amps, np.conj(b.amps))
 
     def test_scratch_reuse_leaves_returned_states_alone(self):
         # every reflection reuses its tessellation's scratch arrays, so no
@@ -174,16 +249,19 @@ class TestCompiledLayout:
             assert state.amplitudes.tobytes() == copy.tobytes()
         arrays = [s.amplitudes for s in states] + [s._amps for s in states if s._amps.dtype == np.float64]
         assert len(arrays) == len(states) + 4
-        for tess in tg.tessellations:
-            for block in _flatten(tess)[1]:
-                scratch = [block.terms] + ([] if block.gathered is None else [block.gathered])
-                assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
+        layouts = [_flatten(tess) for tess in tg.tessellations]
+        assert all(layout.gathered is not None for layout in layouts)
+        for layout in layouts:
+            scratch = [layout.terms, layout.gathered]
+            for block in layout.blocks:
+                scratch += [block.terms, block.gathered]
+            assert not any(np.shares_memory(a, b) for a in scratch for b in arrays)
 
     def test_real_tessellation_has_one_float64_layout(self):
         # complex and real states walk the same compiled layout
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
         layouts = [_flatten(tess) for tess in tg.tessellations]
-        assert all(b.amps.dtype == b.terms.dtype == np.float64 for _, blocks in layouts for b in blocks)
+        assert all(b.amps.dtype == b.terms.dtype == np.float64 for layout in layouts for b in layout.blocks)
         rng = np.random.default_rng(9)
         step(tg, WalkState(random_state(rng, tg.num_vertices)))
         step(tg, uniform_state(tg.num_vertices))
@@ -191,7 +269,7 @@ class TestCompiledLayout:
 
     def test_complex_tessellation_has_a_complex_layout(self):
         tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
-        assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess)[1])
+        assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess).blocks)
 
     def test_threads_stepping_one_cover_match_their_serial_walks(self):
         # each thread compiles its own layout, so no thread writes into the
@@ -225,11 +303,11 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
     entry gets +sv, a broken vertex -sv."""
     vec = state._amps
     layouts = [_flatten(tess) for tess in plan.cover.tessellations]
-    if any(block.amps.dtype == np.complex128 for _, blocks in layouts for block in blocks):
+    if any(block.amps.dtype == np.complex128 for layout in layouts for block in layout.blocks):
         vec = vec.astype(np.complex128)
     vertex_mask = plan.broken_vertex_mask
     sign = 1.0 if vertex_mask is None else -1.0
-    for t_idx, (tess, (_, blocks)) in enumerate(zip(plan.cover.tessellations, layouts)):
+    for t_idx, (tess, layout) in enumerate(zip(plan.cover.tessellations, layouts)):
         breaks, split, out = plan.polygon_breaks.get(t_idx), np.zeros(vec.size, dtype=bool), -vec
         if breaks is not None:
             whole = [np.arange(tess.starts[c], tess.starts[c + 1]) for c in breaks.broken]
@@ -237,7 +315,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
             split[tess.vertices[np.concatenate(whole) if lone is None else lone]] = True
         elif vertex_mask is not None:
             split = vertex_mask
-        for block in blocks:
+        for block in layout.blocks:
             drop = np.ascontiguousarray(block.gather(split))
             parts = [(vec, out)] if vec.dtype == block.amps.dtype else [(vec.real, out.real), (vec.imag, out.imag)]
             for v, o in parts:
@@ -307,7 +385,7 @@ class TestSplitPatch:
         # a one-column block sums its polygon pairwise from nine entries on,
         # which the weights of a polygon that broken vertices hit must match
         for cover in ("ragged_real", "ragged_complex", "ragged_complex3"):
-            blocks = [b for tess in SPLIT_COVERS[cover].tessellations for b in _flatten(tess)[1]]
+            blocks = [b for tess in SPLIT_COVERS[cover].tessellations for b in _flatten(tess).blocks]
             assert any(b.amps.shape[1] == 1 and b.amps.shape[0] >= 9 for b in blocks), cover
 
     @pytest.mark.parametrize("p", [0.01, 0.1, 1.0])
@@ -333,6 +411,20 @@ class TestSplitPatch:
         assert broken > 0
         if kind == "vertices" and p == 0.1:
             assert several > 0
+
+
+    def test_broken_vertex_is_negated_to_the_bit(self):
+        # a real state walks a complex cover with imaginary parts +0, and
+        # -(a + 0i) is -a - 0i, where a product with -1 gives -a + 0i for a > 0;
+        # np.array_equal above cannot tell the two apart
+        tg = TessellatedGraph(SimpleGraph(90), SPLIT_COVERS["ragged_complex"].tessellations[:1])
+        real = np.random.default_rng(24).normal(size=90)
+        state = WalkState(real / np.linalg.norm(real))
+        mask = np.zeros(90, dtype=bool)
+        mask[::7] = True
+        out = plan_step(BreakPlan(tg, broken_vertex_mask=mask), state)._amps
+        assert out.dtype == np.complex128
+        assert out[mask].tobytes() == (-state._amps[mask].astype(np.complex128)).tobytes()
 
 
 def _polygons_losing_several(plan) -> int:
