@@ -43,7 +43,7 @@ from .graph import (
     write_cover,
     write_graph,
 )
-from .noise import BreakPlan, NoiseSpec, perturbed_step, sample_plan
+from .noise import BreakPlan, NoiseSpec, sample_plan
 from .oracle import (
     CoinedBasisMap,
     DenseUnitary,
@@ -104,7 +104,6 @@ __all__ = [
     "make_grid_of_cliques",
     "partial_cover",
     "peak_metrics",
-    "perturbed_step",
     "position_distribution",
     "read_cover",
     "read_graph",

@@ -14,17 +14,17 @@ the vertices below one past its largest (its blocks' entries, then the
 vertices it leaves uncovered) and its inverse: a reflection gathers through
 the one and writes back through the other, with one ``take`` each.
 
-Noise detaches entries from their polygons, as a sampled plan says: each
-polygon is reweighted by the squared amplitudes of its surviving entries, and
-a detached entry either leaves the cover (a broken vertex) or becomes a
-singleton polygon (an entry split off a broken polygon).  Both kinds of break
-are patched onto the clean pass: a block compiles, on its first break, each
-polygon's renormalizing factor whole (and, on its first one_vs_rest split,
-with each one entry detached), so a break touches only the columns of the
-polygons that lose entries: a split reads their factors from these tables,
-and the polygons that broken vertices hit are weighed anew.  Each block
-writes its detached entries last.  The compiled layout is private to this
-module.
+Noise detaches entries from their polygons, as a sampled plan handed to
+:func:`step` says: each polygon is reweighted by the squared amplitudes of
+its surviving entries, and a detached entry either leaves the cover (a
+broken vertex) or becomes a singleton polygon (an entry split off a broken
+polygon).  Both kinds of break are patched onto the clean pass: a block
+compiles, on its first break, each polygon's renormalizing factor whole
+(and, on its first one_vs_rest split, with each one entry detached), so a
+break touches only the columns of the polygons that lose entries: a split
+reads their factors from these tables, and the polygons that broken vertices
+hit are weighed anew.  Each block writes its detached entries last.  The
+compiled layout is private to this module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -397,20 +397,24 @@ def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
     return out
 
 
-def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
-    """Apply every tessellation in index order, each perturbed by ``plan``
-    when given.
+def step(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
+    """One walk step: apply every tessellation of the cover in index order,
+    each perturbed by ``plan`` when given.
 
-    ``plan`` is a sampled :class:`sqwsim.noise.BreakPlan`, read only through
-    its ``broken_vertex_mask``, ``broken_vertices`` and ``polygon_breaks``
-    (``sqwsim.noise`` imports this module, so the type is not imported
-    here): a broken vertex detaches from its polygon in every tessellation
-    and leaves the cover, and the split-off entries of a broken polygon
-    detach and become singletons.  The step walks in the dtype of the
-    state's buffer, promoted once to complex128 when a tessellation has
-    complex amplitudes, so only complex tessellations run in complex128.  Reflections alternate between
+    ``plan`` is a :class:`sqwsim.noise.BreakPlan` sampled from ``tg`` itself
+    (a plan drawn from another cover, even an equal one, is refused), read
+    only through its ``broken_vertex_mask``, ``broken_vertices`` and
+    ``polygon_breaks`` (``sqwsim.noise`` imports this module, so the type is
+    not imported here): a broken vertex detaches from its polygon in every
+    tessellation and leaves the cover, and the split-off entries of a broken
+    polygon detach and become singletons.  An empty plan takes exactly the
+    clean path.  The step walks in the dtype of the state's buffer, promoted
+    once to complex128 when a tessellation has complex amplitudes, so only
+    complex tessellations run in complex128.  Reflections alternate between
     two buffers, so a step allocates at most two state vectors.
     """
+    if plan is not None and plan.cover is not tg:
+        raise ValueError("plan was sampled from a different cover")
     vec = state._amps
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
@@ -424,11 +428,6 @@ def _apply_cover(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState
     for t_idx, layout in enumerate(layouts):
         cur = _reflect(layout, cur, buffers[t_idx % 2], broken, breaks.get(t_idx))
     return WalkState._written(cur)
-
-
-def step(tg: TessellatedGraph, state: WalkState) -> WalkState:
-    """One walk step: apply every tessellation of the cover in index order."""
-    return _apply_cover(tg, state)
 
 
 def renormalize_if_drifting(state: WalkState) -> WalkState:

@@ -11,11 +11,11 @@ Two break models, both keeping every step exactly unitary:
   renormalized and the dropped vertex, now uncovered, just picks up the -I
   term of each reflection.
 
-Perturbations are resampled from the unperturbed cover at every step
-(:func:`perturbed_step`), which is how the trajectories of both the spreading
-and the search experiments are walked.  :func:`plan_step` hands a sampled
-plan to the step loop of :mod:`sqwsim.evolve`, which patches the polygons it
-hits onto each clean reflection of the unperturbed cover;
+Perturbations are resampled from the unperturbed cover at every step, which
+is how the trajectories of both the spreading and the search experiments are
+walked: :func:`sample_plan` draws a plan and :func:`plan_step` walks it.
+:func:`sqwsim.evolve.step`, the one step entry, takes the plan and patches
+the polygons it hits onto each clean reflection of the unperturbed cover;
 :func:`sqwsim.oracle.apply_plan` materializes the same plan as an explicit
 perturbed cover for cross-checks.
 """
@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .evolve import WalkState, _apply_cover, renormalize_if_drifting, step
+from .evolve import WalkState, renormalize_if_drifting, step
 from .graph import TessellatedGraph
 
 KINDS = ("none", "break_vertices", "break_polygons")
@@ -144,29 +144,14 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
 
 
 def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:
-    """Apply one walk step under an already-sampled plan.
+    """One walk step under an already-sampled plan, on the cover it was
+    drawn from: ``step(plan.cover, state, plan)``.
 
     Equivalent to ``step(sqwsim.oracle.apply_plan(cover, plan), state)`` up
-    to floating round-off, but nothing is rebuilt per step: the step loop
-    of :mod:`sqwsim.evolve` patches the unperturbed cover's reflections, so a
-    broken vertex drops out of its polygon in every tessellation and leaves
-    the cover, and the split-off entries of a broken polygon drop out and
-    reflect as singletons.  An empty plan takes exactly the clean path of
-    :func:`sqwsim.evolve.step`.
+    to floating round-off, but nothing is rebuilt per step (see
+    :func:`sqwsim.evolve.step`).  An empty plan takes exactly the clean path.
     """
-    return _apply_cover(plan.cover, state, plan)
-
-
-def perturbed_step(
-    tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator, state: WalkState
-) -> WalkState:
-    """Sample a fresh perturbation of the cover and apply one step under it.
-
-    With noise off (or an empty draw) this is bit-for-bit identical to
-    :func:`sqwsim.evolve.step` on the unperturbed cover.
-    """
-    plan = sample_plan(tg, spec, rng)
-    return plan_step(plan, state)
+    return step(plan.cover, state, plan)
 
 
 def _trajectory(
@@ -190,10 +175,7 @@ def _trajectory(
         raise ValueError(f"step budget {steps} is too large to record its series") from None
     series[0] = observe(state)
     for t in range(1, steps + 1):
-        if spec.is_off:
-            state = step(tg, state)
-        else:
-            state = perturbed_step(tg, spec, rng, state)
+        state = step(tg, state) if spec.is_off else plan_step(sample_plan(tg, spec, rng), state)
         if t % 1000 == 0:
             state = renormalize_if_drifting(state)
         series[t] = observe(state)

@@ -300,13 +300,14 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
     """One step under a plan, each block reflected with a dense per-entry
     mask of the detached entries: the formula that the patch of the hit
     columns onto the clean pass must reproduce bit for bit.  A split-off
-    entry gets +sv, a broken vertex -sv."""
+    entry gets +sv, a broken vertex -sv, each written by its ufunc, which
+    keeps the sign of a zero (a product with ±1.0 may not)."""
     vec = state._amps
     layouts = [_flatten(tess) for tess in plan.cover.tessellations]
     if any(block.amps.dtype == np.complex128 for layout in layouts for block in layout.blocks):
         vec = vec.astype(np.complex128)
     vertex_mask = plan.broken_vertex_mask
-    sign = 1.0 if vertex_mask is None else -1.0
+    sign = np.positive if vertex_mask is None else np.negative
     for t_idx, (tess, layout) in enumerate(zip(plan.cover.tessellations, layouts)):
         breaks, split, out = plan.polygon_breaks.get(t_idx), np.zeros(vec.size, dtype=bool), -vec
         if breaks is not None:
@@ -330,7 +331,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
                     np.divide(2.0, weight, out=scale, where=weight > 0.0)
                     factor = _polygon_sums(terms) * scale
                 res = factor * block.amps - sv
-                np.copyto(res, sign * sv, where=drop)
+                np.copyto(res, sign(sv), where=drop)
                 if block.index is None:
                     block.gather(o)[...] = res
                 else:
@@ -399,15 +400,22 @@ class TestSplitPatch:
             spec = NoiseSpec(kind="break_polygons", p=p, split_policy=kind)
         rng = np.random.default_rng(23)
         real = rng.normal(size=tg.num_vertices)
+        # imaginary parts of -0.0, whose sign a split-off entry must keep;
+        # drawn from a generator of their own, so the plans are unchanged
+        signed = np.empty(tg.num_vertices, dtype=np.complex128)
+        signed.real, signed.imag = np.random.default_rng(25).normal(size=(2, tg.num_vertices))
+        signed.imag[::3] = -0.0
+        signed.view(np.float64)[:] /= _norm(signed)
+        starts = (real / np.linalg.norm(real), random_state(rng, tg.num_vertices), signed)
         broken = several = 0
-        for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, tg.num_vertices))):
+        for state in map(WalkState, starts):
             for _ in range(12):
                 plan = sample_plan(tg, spec, rng)
                 broken += plan.broken_vertices.size + sum(b.broken.size for b in plan.polygon_breaks.values())
                 several += _polygons_losing_several(plan)
                 expected = _dense_split_step(plan, state)
                 state = plan_step(plan, state)
-                assert np.array_equal(state._amps, expected)
+                assert state._amps.tobytes() == expected.tobytes()
         assert broken > 0
         if kind == "vertices" and p == 0.1:
             assert several > 0
@@ -415,8 +423,7 @@ class TestSplitPatch:
 
     def test_broken_vertex_is_negated_to_the_bit(self):
         # a real state walks a complex cover with imaginary parts +0, and
-        # -(a + 0i) is -a - 0i, where a product with -1 gives -a + 0i for a > 0;
-        # np.array_equal above cannot tell the two apart
+        # -(a + 0i) is -a - 0i, where a product with -1 gives -a + 0i for a > 0
         tg = TessellatedGraph(SimpleGraph(90), SPLIT_COVERS["ragged_complex"].tessellations[:1])
         real = np.random.default_rng(24).normal(size=90)
         state = WalkState(real / np.linalg.norm(real))
@@ -475,6 +482,35 @@ class TestStep:
         with pytest.raises(ValueError, match="entries"):
             step(tg, uniform_state(8))
 
+    def test_plan_from_another_cover_rejected(self):
+        # covers compare by identity: a twin built from the same graph and
+        # tessellations, or a fresh build of the same grid, is another cover
+        tg = make_grid_of_cliques(GridSpec(3, 1))
+        state = uniform_state(tg.num_vertices)
+        plans = [BreakPlan(tg), sample_plan(tg, NoiseSpec(kind="break_vertices", p=0.3), np.random.default_rng(5))]
+        for other in (TessellatedGraph(tg.graph, tg.tessellations), make_grid_of_cliques(GridSpec(3, 1))):
+            for plan in plans:
+                assert plan.cover is not other
+                with pytest.raises(ValueError, match="different cover"):
+                    step(other, state, plan)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(kind="break_vertices", p=0.2)]
+        + [NoiseSpec(kind="break_polygons", p=0.2, split_policy=split) for split in SPLIT_POLICIES],
+        ids=["vertices", *SPLIT_POLICIES],
+    )
+    def test_step_under_a_plan_is_plan_step_to_the_bit(self, noise):
+        tg = partial_cover(make_grid_of_cliques(GridSpec(4, 3)), (1, 2))
+        rng = np.random.default_rng(31)
+        state = WalkState(random_state(rng, tg.num_vertices))
+        for _ in range(5):
+            plan = sample_plan(tg, noise, rng)
+            assert not plan.is_empty
+            out = step(tg, state, plan)
+            assert out._amps.tobytes() == plan_step(plan, state)._amps.tobytes()
+            state = out
+
     @pytest.mark.parametrize(
         "noise",
         [NoiseSpec(), NoiseSpec(kind="break_vertices", p=0.3)]
@@ -490,11 +526,10 @@ class TestStep:
         tg = partial_cover(make_grid_of_cliques(spec), (1, 2))
         rng = np.random.default_rng(11)
         plan = None if noise.is_off else sample_plan(tg, noise, rng)
-        walk = (lambda s: step(tg, s)) if plan is None else (lambda s: plan_step(plan, s))
         psi = random_state(rng, tg.num_vertices)
-        out = walk(WalkState(psi)).amplitudes
-        assert out.real.tobytes() == walk(WalkState(psi.real))._amps.tobytes()
-        assert out.imag.tobytes() == walk(WalkState(psi.imag))._amps.tobytes()
+        out = step(tg, WalkState(psi), plan).amplitudes
+        assert out.real.tobytes() == step(tg, WalkState(psi.real), plan)._amps.tobytes()
+        assert out.imag.tobytes() == step(tg, WalkState(psi.imag), plan)._amps.tobytes()
 
     def test_does_not_mutate_input(self):
         tg = make_grid_of_cliques(GridSpec(2, 1))

@@ -48,9 +48,8 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_tracer_sees_every_walk_step(case, tmp_path, monkeypatch):
-    argv, walk_steps = CASES[case]
+def _traced_run(case, tmp_path, monkeypatch):
+    argv = CASES[case][0]
     monkeypatch.chdir(tmp_path)
     tracer = tracing.Tracer(case)
     tracer.install()
@@ -60,10 +59,27 @@ def test_tracer_sees_every_walk_step(case, tmp_path, monkeypatch):
         tracer.uninstall()
     assert rc == 0
     assert tracer.absent == []
-    metrics = tracing.layer_metrics(tracer.spans)
+    return tracer.spans
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_tracer_sees_every_walk_step(case, tmp_path, monkeypatch):
+    walk_steps = CASES[case][1]
+    metrics = tracing.layer_metrics(_traced_run(case, tmp_path, monkeypatch))
     computed = [name for name in PER_LAYER if name in metrics]
     assert "noise.plan_step_s.p50" in computed and "evolve.first_step_s" in computed
     assert [name for name in computed if metrics[name].value is None] == []
     assert metrics["evolve.steps"].value == walk_steps
     if case.startswith("sweep"):
         assert metrics["search.steps_simulated"].value == walk_steps
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_noisy_kernel_is_charged_to_evolve_step(case, tmp_path, monkeypatch):
+    # every step, clean or under a plan, runs the kernel inside one
+    # evolve.step span, so the layer shares charge it to evolve, not noise
+    spans = _traced_run(case, tmp_path, monkeypatch)
+    plan_steps = [i for i, s in enumerate(spans) if s.name == "noise.plan_step"]
+    assert plan_steps
+    for i in plan_steps:
+        assert [s.name for s in spans if s.parent == i] == ["evolve.step"]
