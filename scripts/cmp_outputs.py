@@ -18,10 +18,12 @@ evolve, which crosses the renormalization guard at t = 1000; a q = 3
 evolve under each split policy and under vertex noise; a q = 2 evolve from
 origin (7, 3) under singleton polygon splits; a noisy ``search`` at
 seeds 0 and 7 and one and two workers; a q = 3 ``search`` under singleton
-polygon splits and one under vertex noise; ``validate`` on the ``GridSpec(4, 1)`` cover and on a copy cut by one
-polygon, input files that REF's package writes once for both sides; and two
-usage errors that exit 2.  The whole set takes about a minute on a 2-CPU
-host.
+polygon splits and one under vertex noise; and two usage errors that exit
+2.  Each side's package also writes the graph and cover files of
+``GridSpec(4, 1)``, ``GridSpec(3, 3)`` and the coined cover of a small
+graph with degrees 1 to 4, which are compared too, and runs ``validate``
+on each of them and on a copy of the ``GridSpec(4, 1)`` cover cut by one
+polygon.  The whole set takes about a minute on a 2-CPU host.
 """
 from __future__ import annotations
 
@@ -38,20 +40,36 @@ ROOT = Path(__file__).resolve().parents[1]
 _EVOLVE_OUT = ("--out-dist", "dist.csv", "--out-std", "std.csv")
 
 
+#: Writes the graph and cover files of each generated cover into the directory argv[1].
+_WRITE_INPUTS = """
+import sys
+from pathlib import Path
+from sqwsim.graph import GridSpec, SimpleGraph, coined_to_staggered, make_grid_of_cliques, write_cover, write_graph
+edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (3, 5), (4, 6), (5, 6), (6, 7)]
+covers = {
+    "grid": make_grid_of_cliques(GridSpec(4, 1)),
+    "grid_q3": make_grid_of_cliques(GridSpec(3, 3)),
+    "coined": coined_to_staggered(SimpleGraph(8, edges))[0],
+}
+for name, tg in covers.items():
+    Path(sys.argv[1], name + ".graph").write_text(write_graph(tg.graph))
+    Path(sys.argv[1], name + ".cover").write_text(write_cover(tg))
+"""
+
+#: The covers that ``_WRITE_INPUTS`` writes, then the cut copy of the first.
+_COVERS = ("grid", "grid_q3", "coined", "cut")
+
+
 def _write_inputs(tree: Path, inputs: Path) -> None:
-    """The graph and cover files of ``GridSpec(4, 1)``, written by ``tree``'s
-    package, and a copy of the cover without its first polygon."""
+    """The graph and cover files of the generated covers, written by
+    ``tree``'s package, and a copy of the ``GridSpec(4, 1)`` cover without
+    its first polygon."""
     inputs.mkdir()
-    script = (
-        "import sys; from pathlib import Path; "
-        "from sqwsim.graph import GridSpec, make_grid_of_cliques, write_cover, write_graph; "
-        "tg = make_grid_of_cliques(GridSpec(4, 1)); "
-        "Path(sys.argv[1]).write_text(write_graph(tg.graph)); Path(sys.argv[2]).write_text(write_cover(tg))"
-    )
-    subprocess.run([sys.executable, "-c", script, str(inputs / "grid.graph"), str(inputs / "grid.cover")],
+    subprocess.run([sys.executable, "-c", _WRITE_INPUTS, str(inputs)],
                    env=dict(os.environ, PYTHONPATH=str(tree / "src")), check=True)
     cover = (inputs / "grid.cover").read_text().splitlines(keepends=True)
     (inputs / "cut.cover").write_text("".join(cover[1:]))
+    (inputs / "cut.graph").write_bytes((inputs / "grid.graph").read_bytes())
 
 
 def _calls(inputs: Path) -> dict[str, list[str]]:
@@ -99,9 +117,9 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
     calls["search_q3_vertices"] = [
         "search", "--n", "10", "--q", "3", "--noise", "vertices", "--p", "0.1",
         "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]
-    for cover in ("grid", "cut"):
+    for cover in _COVERS:
         calls[f"validate_{cover}"] = [
-            "validate", "--graph", str(inputs / "grid.graph"), "--cover", str(inputs / f"{cover}.cover")]
+            "validate", "--graph", str(inputs / f"{cover}.graph"), "--cover", str(inputs / f"{cover}.cover")]
     calls["usage_missing_n"] = ["search", "--out", "search.csv"]
     calls["usage_zero_steps"] = ["evolve", "--n", "4", "--steps", "0", *_EVOLVE_OUT]
     return calls
@@ -143,10 +161,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot export {args.ref}: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive.stdout, check=True)
-        _write_inputs(ref_tree, work / "inputs")
-        calls = _calls(work / "inputs")
-        _run_all(ref_tree, work / "ref", calls)
-        _run_all(ROOT, work / "tree", calls)
+        for side, tree in (("ref", ref_tree), ("tree", ROOT)):
+            (work / side).mkdir()
+            _write_inputs(tree, work / side / "inputs")
+            _run_all(tree, work / side, _calls(work / side / "inputs"))
         differing = _differences(work / "ref", work / "tree")
     finally:
         shutil.rmtree(work, ignore_errors=True)

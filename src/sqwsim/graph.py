@@ -70,14 +70,15 @@ class SimpleGraph:
     ``edge_array`` holds each edge once as a row (u, v) with u < v, rows in
     ascending order, and ``_keys`` the matching sorted keys
     u * num_vertices + v, which fit in an int64 because a graph has at most
-    3,037,000,499 vertices.  Any iterable of pairs, or an (E, 2) integer
-    array, is normalized on construction, and a pair given twice is kept
-    once.  ``edges`` gives the same edges as a frozenset of tuples, built on
-    first read.
+    3,037,000,499 vertices; both are read-only.  Any iterable of pairs, or
+    an (E, 2) integer array, is checked and normalized on construction, and
+    a pair given twice is kept once.  A generated cover's graph, built by
+    :meth:`_of_cliques`, keeps only its polygons and derives ``_keys`` from
+    them on first read; the walk never reads it.  ``edge_array`` and the
+    frozenset ``edges`` are derived from ``_keys`` on first read.
     """
 
     num_vertices: int
-    edge_array: np.ndarray
 
     def __init__(self, num_vertices: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
         n = int(num_vertices)
@@ -99,13 +100,41 @@ class SimpleGraph:
             a, b = pairs[np.flatnonzero((lo < 0) | (hi >= n))[0]].tolist()
             raise ValueError(f"edge ({a}, {b}) out of range for {n} vertices")
         keys = _sorted_distinct(lo * n + hi)
-        edge_array = np.empty((keys.size, 2), dtype=np.int64)
-        np.divmod(keys, max(n, 1), out=(edge_array[:, 0], edge_array[:, 1]))
         keys.setflags(write=False)
-        edge_array.setflags(write=False)
         object.__setattr__(self, "num_vertices", n)
-        object.__setattr__(self, "edge_array", edge_array)
-        object.__setattr__(self, "_keys", keys)
+        self.__dict__["_keys"] = keys
+
+    @classmethod
+    def _of_cliques(cls, num_vertices: int, tessellations: Iterable[Tessellation]) -> "SimpleGraph":
+        """The graph of the vertex pairs inside each polygon, kept as the
+        tessellations' ``vertices`` and ``starts`` until read.  Its edges
+        need no range or self-loop check: ``_checked_polygons`` and
+        ``TessellatedGraph.__post_init__`` refuse a repeated vertex and one
+        outside the graph."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "num_vertices", num_vertices)
+        object.__setattr__(graph, "_cliques", tuple((t.vertices, t.starts) for t in tessellations))
+        return graph
+
+    @functools.cached_property
+    def _keys(self) -> np.ndarray:
+        n = self.num_vertices
+        parts = []
+        for vertices, starts in self._cliques:
+            first, second = _polygon_pairs(starts)
+            u, v = vertices[first], vertices[second]
+            parts.append(np.minimum(u, v) * n + np.maximum(u, v))
+        keys = _sorted_distinct(np.concatenate(parts))
+        keys.setflags(write=False)
+        return keys
+
+    @functools.cached_property
+    def edge_array(self) -> np.ndarray:
+        keys = self._keys
+        edge_array = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, max(self.num_vertices, 1), out=(edge_array[:, 0], edge_array[:, 1]))
+        edge_array.setflags(write=False)
+        return edge_array
 
     @functools.cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -372,12 +401,9 @@ def _polygon_pairs(starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _clique_cover(num_vertices: int, tessellations: tuple[Tessellation, ...]) -> TessellatedGraph:
     """``tessellations`` over the graph they generate: its edges are the
-    vertex pairs inside each polygon, so the cover is valid by construction."""
-    pairs = []
-    for tess in tessellations:
-        first, second = _polygon_pairs(tess.starts)
-        pairs.append(np.stack((tess.vertices[first], tess.vertices[second]), axis=1))
-    return TessellatedGraph(SimpleGraph(num_vertices, np.concatenate(pairs)), tessellations)
+    vertex pairs inside each polygon, so the cover is valid by construction.
+    The walk never reads them, so they are enumerated on first read."""
+    return TessellatedGraph(SimpleGraph._of_cliques(num_vertices, tessellations), tessellations)
 
 
 def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sqwsim.evolve
+import sqwsim.graph
 from sqwsim.cli import main
 from sqwsim.graph import GridSpec, make_grid_of_cliques, write_cover, write_graph
 from sqwsim.search import default_step_budget
@@ -275,6 +276,36 @@ class TestSweepCommand:
         rc = main(["sweep", "--n-list", "4", "--p-list", "0", "--scope", "0", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert capsys.readouterr().err == "error: --scope requires --noise polygons\n"
+
+
+WALK_CALLS = {
+    "evolve": ["evolve", "--n", "4", "--steps", "5", "--runs", "3", "--noise", "vertices", "--p", "0.1",
+               "--seed", "4", "--out-dist", "dist.csv", "--out-std", "std.csv"],
+    "search": ["search", "--n", "4", "--noise", "polygons", "--split", "one_vs_rest", "--p", "0.1",
+               "--runs", "3", "--seed", "4", "--out", "search.csv"],
+    "sweep": ["sweep", "--n-list", "4", "--q-list", "1,2", "--p-list", "0,0.1", "--noise", "polygons",
+              "--split", "one_vs_rest", "--runs", "2", "--seed", "4", "--out", "sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(WALK_CALLS))
+def test_walk_commands_never_enumerate_edges(tmp_path, monkeypatch, command, workers):
+    # the generated graph enumerates its edge list from the polygons only
+    # when read, and nothing on the walk path reads it
+    def refuse(starts):
+        raise AssertionError("the edge list was enumerated")
+
+    argv = WALK_CALLS[command] + ["--workers", workers]
+    written = {}
+    for name, patched in (("plain", False), ("patched", True)):
+        if patched:
+            monkeypatch.setattr(sqwsim.graph, "_polygon_pairs", refuse)
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        assert main(argv) == 0
+        written[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert written["plain"] and written["patched"] == written["plain"]
 
 
 @pytest.mark.parametrize(

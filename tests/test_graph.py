@@ -22,6 +22,7 @@ from sqwsim.graph import (
     write_cover,
     write_graph,
 )
+from sqwsim.search import partial_cover
 
 # Rows of (vertices, starts, amplitudes, message) that the tessellation
 # arrays are refused for; the rows with starts [0, len(vertices)] hold one
@@ -473,6 +474,83 @@ class TestNoPolygonObjectsOnTheWalkPath:
             Polygon.uniform([0])
         with pytest.raises(AssertionError):
             make_grid_of_cliques(GridSpec(2, 1)).tessellations[0].polygons
+
+
+def bounded_degree_graph(rng: np.random.Generator, n: int) -> SimpleGraph:
+    """A random graph on n >= 2 vertices with every degree in 1..5: a random
+    matching that covers every vertex, then random chords between vertices
+    of degree below 5."""
+    order = rng.permutation(n).tolist()
+    edges = {tuple(sorted((order[i], order[i + 1]))) for i in range(0, n - 1, 2)}
+    if n % 2:
+        edges.add(tuple(sorted((order[-1], order[0]))))
+    for _ in range(2 * n):
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        degree = np.bincount(np.array(sorted(edges)).ravel(), minlength=n)
+        if u != v and degree[u] < 5 and degree[v] < 5:
+            edges.add((u, v))
+    return SimpleGraph(n, sorted(edges))
+
+
+def _generated_covers():
+    for n in (2, 3, 5):
+        for q in (1, 2, 3):
+            tg = make_grid_of_cliques(GridSpec(n, q))
+            yield f"grid_{n}_{q}", tg
+            yield f"partial_{n}_{q}", partial_cover(tg, (n - 1, 0))
+    rng = np.random.default_rng(25)
+    for n in (2, 7, 12, 30):
+        g = bounded_degree_graph(rng, n)
+        degrees = np.bincount(g.edge_array.ravel(), minlength=n)
+        assert degrees.min() >= 1 and degrees.max() <= 5
+        yield f"coined_{n}", coined_to_staggered(g)[0]
+
+
+GENERATED_COVERS = dict(_generated_covers())
+
+
+class TestDerivedEdges:
+    """A generated cover's graph enumerates its edges on first read, and they
+    equal those of a graph given the same pairs eagerly."""
+
+    @staticmethod
+    def eager(tg: TessellatedGraph) -> SimpleGraph:
+        pairs = [
+            pair
+            for tess in tg.tessellations
+            for a, b in zip(tess.starts[:-1].tolist(), tess.starts[1:].tolist())
+            for pair in itertools.combinations(tess.vertices[a:b].tolist(), 2)
+        ]
+        return SimpleGraph(tg.num_vertices, pairs)
+
+    @pytest.mark.parametrize("name", sorted(GENERATED_COVERS))
+    def test_derived_edges_equal_eager_ones(self, name):
+        tg = GENERATED_COVERS[name]
+        # a fresh cover over a fresh graph, so no earlier read has derived the edges
+        tg = TessellatedGraph(SimpleGraph._of_cliques(tg.num_vertices, tg.tessellations), tg.tessellations)
+        derived, eager = tg.graph, self.eager(tg)
+        assert "_keys" not in vars(derived) and "edge_array" not in vars(derived)
+        assert derived._keys.tobytes() == eager._keys.tobytes()
+        assert derived.edge_array.tobytes() == eager.edge_array.tobytes()
+        assert derived.edge_array.shape == eager.edge_array.shape
+        for arr in (derived._keys, derived.edge_array):
+            assert not arr.flags.writeable
+        assert derived.num_edges == eager.num_edges
+        assert derived.edges == eager.edges
+        n = tg.num_vertices
+        probes = [(u, v) for u in range(min(n, 12)) for v in range(min(n, 12))]
+        assert [derived.has_edge(u, v) for u, v in probes] == [eager.has_edge(u, v) for u, v in probes]
+        assert validate_cover(tg) == validate_cover(TessellatedGraph(eager, tg.tessellations))
+        assert write_graph(derived) == write_graph(eager)
+
+    @pytest.mark.parametrize("name", ["grid_3_2", "coined_12"])
+    def test_arcs_and_edges_derived_first(self, name):
+        tg = GENERATED_COVERS[name]
+        derived = SimpleGraph._of_cliques(tg.num_vertices, tg.tessellations)
+        eager = self.eager(tg)
+        for got, want in zip(derived._arcs(), eager._arcs(), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert SimpleGraph._of_cliques(tg.num_vertices, tg.tessellations).edges == eager.edges
 
 
 class TestCoinedConversion:

@@ -65,13 +65,18 @@ def _traced_run(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_tracer_sees_every_walk_step(case, tmp_path, monkeypatch):
     walk_steps = CASES[case][1]
-    metrics = tracing.layer_metrics(_traced_run(case, tmp_path, monkeypatch))
+    spans = _traced_run(case, tmp_path, monkeypatch)
+    metrics = tracing.layer_metrics(spans)
     computed = [name for name in PER_LAYER if name in metrics]
     assert "noise.plan_step_s.p50" in computed and "evolve.first_step_s" in computed
     assert [name for name in computed if metrics[name].value is None] == []
     assert metrics["evolve.steps"].value == walk_steps
     if case.startswith("sweep"):
         assert metrics["search.steps_simulated"].value == walk_steps
+    # the graph enumerates its edges when the tracer reads their count, after
+    # the build: 16 cells of 6 edges and 32 links of 1 cross edge per build
+    builds = [s for s in spans if s.name == "graph.make_grid_of_cliques"]
+    assert builds and metrics["graph.edges"].value == 128 * len(builds)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
