@@ -17,7 +17,9 @@ three workers; the C10 sweep at one and two workers; a 6,000-step noiseless
 evolve, which crosses the renormalization guard at t = 1000; a q = 3
 evolve under each split policy and under vertex noise; a q = 2 evolve from
 origin (7, 3) under singleton polygon splits; a noisy ``search`` at
-seeds 0 and 7 and one and two workers; a q = 3 ``search`` under singleton
+seeds 0 and 7 and one and two workers, and at two workers and seed
+2**64 + 5, whose three 32-bit words take every branch of the seed
+derivation; a q = 3 ``search`` under singleton
 polygon splits and one under vertex noise; and two usage errors that exit
 2.  Each side's package also writes the graph and cover files of
 ``GridSpec(4, 1)``, ``GridSpec(3, 3)`` and the coined cover of a small
@@ -110,6 +112,10 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
             calls[f"search_seed{seed}_w{workers}"] = [
                 "search", "--n", "10", "--q", "2", "--marked", "3,4", "--noise", "vertices", "--p", "0.02",
                 "--runs", "8", "--seed", seed, "--workers", workers, "--out", "search.csv"]
+    # 2**64 + 5: a master seed of three 32-bit entropy words
+    calls["search_seed_2p64_plus_5_w2"] = [
+        "search", "--n", "10", "--q", "2", "--marked", "3,4", "--noise", "vertices", "--p", "0.02",
+        "--runs", "8", "--seed", "18446744073709551621", "--workers", "2", "--out", "search.csv"]
     # polygon breaks patched onto the gathered blocks of a q = 3 partial cover
     calls["search_q3_polygons_singletons"] = [
         "search", "--n", "10", "--q", "3", "--noise", "polygons", "--p", "0.05", "--split", "singletons",

@@ -76,6 +76,8 @@ def _resolve_seed(args) -> int:
 
 def _resolve_workers(args) -> int:
     if args.workers is None:
+        if hasattr(os, "sched_getaffinity"):
+            return max(1, len(os.sched_getaffinity(0)))
         return max(1, os.cpu_count() or 1)
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parent.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: CPU count); results do not depend on this",
+        help="worker processes (default: the CPUs this process may run on); results do not depend on this",
     )
 
     grid_parent = argparse.ArgumentParser(add_help=False)

@@ -7,17 +7,63 @@ can be reproduced in isolation.
 """
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int) -> Callable[[int], int]:
+    """numpy's ``hashmix`` on 32-bit words: xor with a constant, then
+    multiply by it, advanced by ``mult`` on every call."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy's ``mix``: fold the word ``y`` into the pool word ``x``."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of ``n``, least significant first."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
 
 def child_seed(master_seed: int, *path: int) -> int:
-    """Stable 64-bit child seed for the run addressed by ``path``."""
+    """Stable 64-bit child seed for the run addressed by ``path``.
+
+    Equal to ``np.random.SeedSequence((master_seed, *path))
+    .generate_state(1, np.uint64)[0]``, computed in Python so that a process
+    that only hands seeds to workers never imports ``numpy.random``."""
     if master_seed < 0:
         raise ValueError("master seed must be non-negative")
-    ss = np.random.SeedSequence((master_seed, *path))
-    return int(ss.generate_state(1, np.uint64)[0])
+    entropy = [w for v in (master_seed, *path) for w in _words(operator.index(v))]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(0x8B51F9DD, 0x58F38DED)
+    return hashmix(pool[0]) | hashmix(pool[1]) << 32
 
 
 class _Runner:

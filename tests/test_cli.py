@@ -1,11 +1,13 @@
+import argparse
 import concurrent.futures
+import os
 
 import numpy as np
 import pytest
 
 import sqwsim.evolve
 import sqwsim.graph
-from sqwsim.cli import main
+from sqwsim.cli import _resolve_workers, main
 from sqwsim.graph import GridSpec, make_grid_of_cliques, write_cover, write_graph
 from sqwsim.search import default_step_budget
 
@@ -324,6 +326,19 @@ def test_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+class TestDefaultWorkers:
+    def test_counts_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # an affinity-limited process must not fork one worker per host CPU
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 2
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _resolve_workers(argparse.Namespace(workers=None)) == 3
 
 
 class TestParserErrors:
