@@ -22,9 +22,11 @@ seeds 0 and 7 and one and two workers, and at two workers and seed
 derivation; a q = 3 ``search`` under singleton
 polygon splits and one under vertex noise; and two usage errors that exit
 2.  Each side's package also writes the graph and cover files of
-``GridSpec(4, 1)``, ``GridSpec(3, 3)`` and the coined cover of a small
-graph with degrees 1 to 4, which are compared too, and runs ``validate``
-on each of them and on a copy of the ``GridSpec(4, 1)`` cover cut by one
+``GridSpec(4, 1)``, ``GridSpec(3, 3)``, the coined cover of a small graph
+with degrees 1 to 4 and the partial cover of ``GridSpec(4, 2)`` marked at
+(1, 2), whose tessellation 0 skips the marked cell's vertices; these are
+compared too, and ``validate`` runs on each of them (exiting 1 on the
+partial cover) and on a copy of the ``GridSpec(4, 1)`` cover cut by one
 polygon.  The whole set takes about a minute on a 2-CPU host.
 """
 from __future__ import annotations
@@ -47,11 +49,13 @@ _WRITE_INPUTS = """
 import sys
 from pathlib import Path
 from sqwsim.graph import GridSpec, SimpleGraph, coined_to_staggered, make_grid_of_cliques, write_cover, write_graph
+from sqwsim.search import partial_cover
 edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 5), (3, 5), (4, 6), (5, 6), (6, 7)]
 covers = {
     "grid": make_grid_of_cliques(GridSpec(4, 1)),
     "grid_q3": make_grid_of_cliques(GridSpec(3, 3)),
     "coined": coined_to_staggered(SimpleGraph(8, edges))[0],
+    "partial": partial_cover(make_grid_of_cliques(GridSpec(4, 2)), (1, 2)),
 }
 for name, tg in covers.items():
     Path(sys.argv[1], name + ".graph").write_text(write_graph(tg.graph))
@@ -59,7 +63,7 @@ for name, tg in covers.items():
 """
 
 #: The covers that ``_WRITE_INPUTS`` writes, then the cut copy of the first.
-_COVERS = ("grid", "grid_q3", "coined", "cut")
+_COVERS = ("grid", "grid_q3", "coined", "partial", "cut")
 
 
 def _write_inputs(tree: Path, inputs: Path) -> None:

@@ -53,6 +53,7 @@ from .oracle import (
     dense_step_matrix,
     fcqw_grid_step,
     remove_vertices,
+    tessellation_of,
     verify_equivalence,
 )
 from .rng import child_seed
@@ -112,6 +113,7 @@ __all__ = [
     "sample_plan",
     "step",
     "success_probability",
+    "tessellation_of",
     "torus_displacement_stats",
     "uniform_state",
     "validate_cover",

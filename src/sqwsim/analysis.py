@@ -12,8 +12,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .evolve import WalkState, localized_clique_state
-from .graph import GridSpec, make_grid_of_cliques
+from .evolve import WalkState, _abs2, localized_clique_state
+from .graph import GridSpec, _as_index, make_grid_of_cliques
 from .noise import NoiseSpec, _trajectory
 from .rng import _map_runs, child_seed
 
@@ -62,20 +62,11 @@ def position_distribution(state: WalkState, spec: GridSpec) -> PositionDistribut
     """Collapse vertex probabilities onto cells."""
     if state.num_vertices != spec.num_vertices:
         raise ValueError("state size does not match the grid")
-    # Squaring and adding the strided slot columns in order makes n^2-long
-    # passes and no state-sized array; summing each cell's row makes numpy
-    # loop over n^2 rows of only 4q entries.
-    slots = state._amps.reshape(-1, spec.cell_size)
-    probs, square = np.empty(slots.shape[0]), np.empty(slots.shape[0])
-    for k in range(spec.cell_size):
-        slot, into = slots[:, k], square if k else probs
-        if slot.dtype == np.float64:
-            np.multiply(slot, slot, out=into)
-        else:
-            np.multiply(slot.real, slot.real, out=into)
-            into += slot.imag * slot.imag
-        if k:
-            probs += square
+    # The strided slot columns, added in order: n^2-long passes and no state-sized
+    # array, where summing each cell's row would loop over n^2 rows of 4q entries.
+    probs = _abs2(state, slice(0, None, spec.cell_size))
+    for k in range(1, spec.cell_size):
+        probs += _abs2(state, slice(k, None, spec.cell_size))
     return PositionDistribution(probs.reshape(spec.n, spec.n))
 
 
@@ -205,6 +196,7 @@ def displacement_experiment(
         raise ValueError("need at least one step")
     if runs < 1:
         raise ValueError("need at least one run")
+    origin = tuple(_as_index(c, "origin coordinate") for c in origin)
     x0, y0 = origin
     if not (0 <= x0 < spec.n and 0 <= y0 < spec.n):
         raise ValueError(f"origin {origin} outside the {spec.n}x{spec.n} grid")

@@ -9,15 +9,17 @@ polygons' cliques.  The grid of cliques and the coined-walk conversion take
 that graph, so they are valid by construction; :func:`validate_cover`
 checks a cover read from a file against the graph read with it.
 
-Covers are stored as flat arrays.  A tessellation keeps its covered vertices
-in polygon order, the polygon boundaries and the amplitudes; a graph keeps
-its edges as a sorted (E, 2) array.  The ``Polygon`` objects of a
-tessellation and the frozenset of a graph's edges are built only when read.
+Covers are stored as flat arrays.  A tessellation is built from its covered
+vertices in polygon order, the polygon boundaries and the amplitudes; a graph
+keeps its edges as a sorted (E, 2) array.  The ``Polygon`` objects of a
+tessellation and the frozenset of a graph's edges are built only when read,
+and no function here reads a tessellation's polygons.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -61,6 +63,14 @@ def _as_int64(values, what: str) -> np.ndarray:
         bad = given.ravel()[np.flatnonzero(ints.ravel() != given.ravel())[0]]
         raise ValueError(f"{what} must be integers, got {bad.item()!r}")
     return ints
+
+
+def _as_index(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer passes, 3.0 and "3" do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -237,44 +247,24 @@ class Polygon:
         return int(self.vertices.size)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Tessellation:
     """Polygons with pairwise disjoint vertex sets, stored as flat arrays.
 
     ``vertices`` lists the covered vertices polygon by polygon: polygon j
     holds ``vertices[starts[j]:starts[j + 1]]``, with the parallel slice of
-    ``amplitudes``.  Build a tessellation from ``Polygon`` objects, or from
-    the three arrays with :meth:`from_arrays`; either way the arrays are
-    checked as a whole, and ``polygons`` gives the ``Polygon`` sequence,
-    built on first read.  A tessellation may leave vertices of the ambient
-    graph uncovered; its reflection acts on them as -I.
+    ``amplitudes``.  The three arrays are checked as a whole on
+    construction, and ``polygons`` gives ``Polygon`` views of them, built on
+    first read.  A tessellation may leave vertices of the ambient graph
+    uncovered; its reflection acts on them as -I.
     """
 
     vertices: np.ndarray
     starts: np.ndarray
     amplitudes: np.ndarray
 
-    def __init__(self, polygons: Iterable[Polygon] = ()):
-        polys = tuple(polygons)
-        starts = np.concatenate(([0], np.cumsum([p.size for p in polys], dtype=np.int64)))
-        if polys:
-            verts = np.concatenate([p.vertices for p in polys])
-            amps = np.concatenate([p.amplitudes for p in polys])
-        else:
-            verts = np.empty(0, dtype=np.int64)
-            amps = np.empty(0, dtype=np.complex128)
-        self._store(verts, starts, amps)
-        self.__dict__["polygons"] = polys
-
-    @classmethod
-    def from_arrays(cls, vertices: np.ndarray, starts: np.ndarray, amplitudes: np.ndarray) -> "Tessellation":
-        """A tessellation over flat arrays laid out as the class docstring says."""
-        tess = cls.__new__(cls)
-        tess._store(vertices, starts, amplitudes)
-        return tess
-
-    def _store(self, vertices, starts, amplitudes) -> None:
-        checked = _checked_polygons(vertices, starts, amplitudes)
+    def __post_init__(self):
+        checked = _checked_polygons(self.vertices, self.starts, self.amplitudes)
         for name, arr in zip(("vertices", "starts", "amplitudes"), checked):
             object.__setattr__(self, name, arr)
 
@@ -332,6 +322,8 @@ class GridSpec:
     q: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _as_index(self.n, "grid width n"))
+        object.__setattr__(self, "q", _as_index(self.q, "clique parameter q"))
         if self.n < 2:
             raise ValueError("grid width n must be at least 2")
         if self.q < 1:
@@ -434,12 +426,12 @@ def make_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     links[:, 1, 0] = base + q + k
     links[:, 1, 1] = up + 3 * q + k
 
-    cells = Tessellation.from_arrays(
+    cells = Tessellation(
         np.arange(num, dtype=np.int64),
         np.arange(0, num + 1, cell, dtype=np.int64),
         np.full(num, 1.0 / math.sqrt(cell), dtype=np.complex128),
     )
-    link_tess = Tessellation.from_arrays(
+    link_tess = Tessellation(
         links.ravel(),
         np.arange(0, num + 1, 2 * q, dtype=np.int64),
         np.full(num, 1.0 / math.sqrt(2 * q), dtype=np.complex128),
@@ -500,12 +492,12 @@ def coined_to_staggered(g: SimpleGraph) -> tuple[TessellatedGraph, tuple[tuple[i
     arc_keys = tails * n + heads
     u, v = g.edge_array[:, 0], g.edge_array[:, 1]
     shift_pairs = np.stack((np.searchsorted(arc_keys, u * n + v), np.searchsorted(arc_keys, v * n + u)), axis=1)
-    coin = Tessellation.from_arrays(
+    coin = Tessellation(
         np.arange(num_arcs),
         np.concatenate(([0], np.cumsum(degrees))),
         np.repeat(1.0 / np.sqrt(degrees), degrees),
     )
-    shift = Tessellation.from_arrays(
+    shift = Tessellation(
         shift_pairs.ravel(),
         np.arange(0, num_arcs + 1, 2),
         np.full(num_arcs, 1.0 / math.sqrt(2)),
@@ -613,7 +605,7 @@ def read_cover(text: str, g: SimpleGraph) -> TessellatedGraph:
         sizes = np.array(sizes, dtype=np.int64)
         starts = np.concatenate(([0], np.cumsum(sizes)))
         amplitudes = np.repeat(1.0 / np.sqrt(sizes), sizes)
-        tessellations.append(Tessellation.from_arrays(covered, starts, amplitudes))
+        tessellations.append(Tessellation(covered, starts, amplitudes))
     return TessellatedGraph(g, tuple(tessellations))
 
 
@@ -630,15 +622,15 @@ def write_cover(tg: TessellatedGraph) -> str:
         raise ValueError("cover files need at least one tessellation, and no empty one")
     out_lines = []
     for t_idx, tess in enumerate(tg.tessellations):
-        rows = []
-        for poly in tess.polygons:
-            expected = 1.0 / math.sqrt(poly.size)
-            if np.max(np.abs(poly.amplitudes - expected)) > NORM_TOL:
-                raise ValueError("cover files carry only uniform-amplitude polygons")
-            rows.append(sorted(int(v) for v in poly.vertices))
-        rows.sort(key=lambda r: r[0])
-        for row in rows:
-            out_lines.append(" ".join(str(x) for x in [t_idx] + row))
+        sizes = tess.sizes
+        if np.max(np.abs(tess.amplitudes - np.repeat(1.0 / np.sqrt(sizes), sizes))) > NORM_TOL:
+            raise ValueError("cover files carry only uniform-amplitude polygons")
+        # disjoint polygons have distinct least vertices, so one sort orders both levels
+        least = np.minimum.reduceat(tess.vertices, tess.starts[:-1])
+        order = np.lexsort((tess.vertices, np.repeat(least, sizes)))
+        words = list(map(str, tess.vertices[order].tolist()))
+        bounds = [0, *np.cumsum(sizes[np.argsort(least)]).tolist()]
+        out_lines.extend(f"{t_idx} " + " ".join(words[a:b]) for a, b in zip(bounds, bounds[1:]))
     return "\n".join(out_lines) + "\n"
 
 

@@ -27,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .evolve import WalkState, renormalize_if_drifting, step
-from .graph import TessellatedGraph
+from .graph import TessellatedGraph, _as_index
 
 KINDS = ("none", "break_vertices", "break_polygons")
 SPLIT_POLICIES = ("singletons", "one_vs_rest")
@@ -59,7 +59,7 @@ class NoiseSpec:
         if self.scope is not None:
             if self.kind != "break_polygons":
                 raise ValueError("scope applies only to polygon breaking")
-            scope = tuple(sorted({int(t) for t in self.scope}))
+            scope = tuple(sorted({_as_index(t, "scope index") for t in self.scope}))
             if not scope:
                 raise ValueError("scope must list at least one tessellation")
             if scope[0] < 0:
@@ -93,8 +93,11 @@ class BreakPlan:
     polygon_breaks: Mapping[int, _TessellationBreaks] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.broken_vertex_mask is not None and self.polygon_breaks:
+        mask, shape = self.broken_vertex_mask, (self.cover.num_vertices,)
+        if mask is not None and self.polygon_breaks:
             raise ValueError("a plan breaks either vertices or polygons, not both")
+        if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.shape == shape):
+            raise ValueError(f"broken_vertex_mask must be a bool array of shape {shape}")
 
     @property
     def is_empty(self) -> bool:

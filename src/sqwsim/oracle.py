@@ -7,6 +7,7 @@ and one edge tuple at a time, and each sampled noise plan as an explicit
 perturbed cover of renormalized ``Polygon`` blocks (:func:`apply_plan`),
 against which :func:`sqwsim.noise.plan_step` is checked.  The fast routes
 must agree with these on small instances; keep the two routes independent.
+Only :func:`tessellation_of` builds a tessellation from ``Polygon`` objects.
 """
 from __future__ import annotations
 
@@ -58,6 +59,14 @@ class DenseUnitary:
         object.__setattr__(self, "entries", mat)
 
 
+def tessellation_of(polygons: Iterable[Polygon]) -> Tessellation:
+    """The tessellation of ``polygons``, laid end to end in order."""
+    polys = tuple(polygons)
+    verts = np.concatenate([np.empty(0, np.int64), *(p.vertices for p in polys)])
+    amps = np.concatenate([np.empty(0, np.complex128), *(p.amplitudes for p in polys)])
+    return Tessellation(verts, np.cumsum([0, *(p.size for p in polys)]), amps)
+
+
 def reference_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
     """The cover of :func:`sqwsim.graph.make_grid_of_cliques`, built one
     validated ``Polygon`` per clique, in the same order, with the edge set
@@ -85,7 +94,7 @@ def reference_grid_of_cliques(spec: GridSpec) -> TessellatedGraph:
         for poly in itertools.chain(cell_polys, link_polys)
         for pair in itertools.combinations(sorted(poly.vertices.tolist()), 2)
     )
-    tessellations = (Tessellation(tuple(cell_polys)), Tessellation(tuple(link_polys)))
+    tessellations = (tessellation_of(cell_polys), tessellation_of(link_polys))
     return TessellatedGraph(SimpleGraph(spec.num_vertices, edges), tessellations)
 
 
@@ -146,7 +155,7 @@ def remove_vertices(tg: TessellatedGraph, vertices: Iterable[int]) -> Tessellate
             elif keep.any():
                 amps = poly.amplitudes[keep]
                 new_polys.append(Polygon(poly.vertices[keep], amps / np.linalg.norm(amps)))
-        new_tess.append(Tessellation(tuple(new_polys)))
+        new_tess.append(tessellation_of(new_polys))
     if all(new is old for new, old in zip(new_tess, tg.tessellations)):
         return tg
     return TessellatedGraph(tg.graph, tuple(new_tess))
@@ -185,7 +194,7 @@ def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
         for j, poly in enumerate(tg.tessellations[t_idx].polygons):
             part = parts.get((t_idx, j))
             new_polys.extend((poly,) if part is None else break_polygon(poly, part))
-        new_tess[t_idx] = Tessellation(tuple(new_polys))
+        new_tess[t_idx] = tessellation_of(new_polys)
     return TessellatedGraph(tg.graph, tuple(new_tess))
 
 

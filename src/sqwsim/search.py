@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .evolve import WalkState, _abs2, uniform_state
-from .graph import GridSpec, Tessellation, TessellatedGraph, make_grid_of_cliques
+from .graph import GridSpec, Tessellation, TessellatedGraph, _as_index, make_grid_of_cliques
 from .noise import NoiseSpec, _trajectory
 from .rng import _map_runs, child_seed
 
@@ -42,10 +42,10 @@ class SearchConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        x, y = self.marked
+        x, y = (_as_index(c, "marked cell coordinate") for c in self.marked)
         if not (0 <= x < self.spec.n and 0 <= y < self.spec.n):
             raise ValueError(f"marked cell {self.marked} outside the {self.spec.n}x{self.spec.n} grid")
-        object.__setattr__(self, "marked", (int(x), int(y)))
+        object.__setattr__(self, "marked", (x, y))
         if self.max_steps is None:
             object.__setattr__(self, "max_steps", default_step_budget(self.spec))
         if self.max_steps < 1:
@@ -117,7 +117,7 @@ def partial_cover(tg: TessellatedGraph, marked: tuple[int, int]) -> TessellatedG
     cells = tg.tessellations[0]
     marked_entries = spec.cell_slice(x, y)
     # Every cell has one size, so the first P boundaries bound the P - 1 cells left.
-    reduced = Tessellation.from_arrays(
+    reduced = Tessellation(
         np.delete(cells.vertices, marked_entries),
         cells.starts[:-1],
         np.delete(cells.amplitudes, marked_entries),

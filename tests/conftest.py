@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from sqwsim.evolve import WalkState, step
 from sqwsim.graph import Polygon, SimpleGraph, Tessellation, TessellatedGraph
+from sqwsim.oracle import tessellation_of
 
 # Derandomized so every run draws the same examples; no deadline, because
 # example timings on a loaded machine say nothing about correctness.
@@ -64,7 +65,7 @@ def random_cover(
                 for j in range(i + 1, size):
                     a, b = int(verts[i]), int(verts[j])
                     edges.add((a, b) if a < b else (b, a))
-        tessellations.append(Tessellation(tuple(polys)))
+        tessellations.append(tessellation_of(tuple(polys)))
     graph = SimpleGraph(num_vertices, frozenset(edges))
     return TessellatedGraph(graph, tuple(tessellations))
 

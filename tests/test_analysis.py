@@ -291,6 +291,16 @@ class TestDisplacementExperiment:
         with pytest.raises(ValueError):
             displacement_experiment(GridSpec(4, 1), 3, origin=(4, 0))
 
+    def test_rejects_non_integer_origin(self):
+        with pytest.raises(ValueError, match=r"^origin coordinate must be an integer, got 0.5$"):
+            displacement_experiment(GridSpec(4, 1), 3, origin=(0.5, 0))
+
+    def test_numpy_integer_origin_matches_ints(self):
+        got = displacement_experiment(GridSpec(np.int64(8)), 4, origin=(np.int64(3), np.int32(5)))
+        want = displacement_experiment(GridSpec(8), 4, origin=(3, 5))
+        assert got.sigma.mean.tobytes() == want.sigma.mean.tobytes()
+        assert got.mean_distribution.probabilities.tobytes() == want.mean_distribution.probabilities.tobytes()
+
 
 class TestSigmaLinearGrowth:
     def test_noiseless_sigma_grows_linearly(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from sqwsim.evolve import WalkState, step
 from sqwsim.graph import Polygon, SimpleGraph, Tessellation, TessellatedGraph
 from sqwsim.noise import KINDS, SPLIT_POLICIES, NoiseSpec, plan_step, sample_plan
-from sqwsim.oracle import apply_plan, dense_step_matrix
+from sqwsim.oracle import apply_plan, dense_step_matrix, tessellation_of
 
 #: Equal-size polygons over a random permutation of all vertices, over the
 #: vertices in order, over a random subset, over a leading run 0..E-1;
@@ -35,7 +35,7 @@ def _amplitudes(rng: np.random.Generator, size: int, real: bool) -> np.ndarray:
 
 def _tessellation(rng: np.random.Generator, layout: str, num: int, real: bool) -> Tessellation:
     if layout == "empty":
-        return Tessellation(())
+        return tessellation_of(())
     if layout in ("ragged", "ragged_in_order"):
         count = int(rng.integers(1, num + 1))
         covered = rng.permutation(num)[:count] if layout == "ragged" else np.arange(count)
@@ -59,7 +59,7 @@ def _tessellation(rng: np.random.Generator, layout: str, num: int, real: bool) -
         sizes = [size] * (count // size)
     bounds = np.cumsum([0] + sizes)
     polys = tuple(Polygon(covered[a:b], _amplitudes(rng, b - a, real)) for a, b in zip(bounds[:-1], bounds[1:]))
-    return Tessellation(polys)
+    return tessellation_of(polys)
 
 
 def _cover(rng: np.random.Generator, layouts: list[str], num: int, real: bool) -> TessellatedGraph:

@@ -27,7 +27,7 @@ from sqwsim.graph import (
     make_grid_of_cliques,
 )
 from sqwsim.noise import SPLIT_POLICIES, BreakPlan, NoiseSpec, _trajectory, plan_step, sample_plan
-from sqwsim.oracle import _dense_reflection
+from sqwsim.oracle import _dense_reflection, tessellation_of
 from sqwsim.search import partial_cover
 
 
@@ -103,7 +103,7 @@ class TestApplyTessellation:
 
     def test_polygon_state_is_fixed(self):
         poly = Polygon(np.array([1, 3]), np.array([0.8, 0.6j]))
-        tess = Tessellation((poly,))
+        tess = tessellation_of((poly,))
         amps = np.zeros(5, dtype=complex)
         amps[[1, 3]] = [0.8, 0.6j]
         out = reflect(tess, WalkState(amps))
@@ -111,20 +111,20 @@ class TestApplyTessellation:
 
     def test_orthogonal_state_is_negated(self):
         poly = Polygon(np.array([0, 1]), np.array([1.0, 1.0]) / math.sqrt(2))
-        tess = Tessellation((poly,))
+        tess = tessellation_of((poly,))
         amps = np.array([1.0, -1.0, 1.0j]) / math.sqrt(3)
         out = reflect(tess, WalkState(amps))
         assert np.allclose(out.amplitudes, -amps)
 
     def test_uncovered_vertex_gets_minus_one(self):
-        tess = Tessellation((Polygon.uniform([0, 1]),))
+        tess = tessellation_of((Polygon.uniform([0, 1]),))
         amps = np.zeros(3, dtype=complex)
         amps[2] = 1.0
         out = reflect(tess, WalkState(amps))
         assert out.amplitudes[2] == -1.0
 
     def test_index_out_of_range(self):
-        tess = Tessellation((Polygon.uniform([0, 5]),))
+        tess = tessellation_of((Polygon.uniform([0, 5]),))
         with pytest.raises(ValueError, match="references vertex"):
             reflect(tess, uniform_state(3))
 
@@ -144,7 +144,7 @@ def _mixed_sizes(order: str) -> tuple[Tessellation, np.ndarray, list[int]]:
     order or permuted."""
     verts = np.arange(12) if order == "in_order" else np.random.default_rng(4).permutation(12)
     bounds = [0, 3, 4, 6, 9, 10, 12]
-    return Tessellation(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))), verts, bounds
+    return tessellation_of(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))), verts, bounds
 
 
 def _gathered_case(case: str) -> tuple[Tessellation, list[int]]:
@@ -157,7 +157,7 @@ def _gathered_case(case: str) -> tuple[Tessellation, list[int]]:
         return partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1)).tessellations[0], [16, 17, 18, 19]
     if case == "skipping":
         polygons = (Polygon.uniform([6, 2]), Polygon.uniform([0]), Polygon.uniform([5, 3]))
-        return Tessellation(polygons), [1, 4]
+        return tessellation_of(polygons), [1, 4]
     return _mixed_sizes(case.removeprefix("mixed_"))[0], []
 
 
@@ -227,7 +227,7 @@ class TestCompiledLayout:
     def test_real_blocks_share_their_amplitudes_as_conjugates(self):
         for tess in partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1)).tessellations:
             assert all(b.conj_amps is b.amps for b in _flatten(tess).blocks)
-        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
+        tess = tessellation_of((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
         for b in _flatten(tess).blocks:
             assert b.conj_amps is not b.amps and np.array_equal(b.conj_amps, np.conj(b.amps))
 
@@ -268,7 +268,7 @@ class TestCompiledLayout:
         assert all(_flatten(tess) is layout for tess, layout in zip(tg.tessellations, layouts))
 
     def test_complex_tessellation_has_a_complex_layout(self):
-        tess = Tessellation((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
+        tess = tessellation_of((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
         assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess).blocks)
 
     def test_threads_stepping_one_cover_match_their_serial_walks(self):
@@ -351,7 +351,7 @@ def _real_ragged_cover(rng: np.random.Generator, num: int) -> TessellatedGraph:
             amps = rng.uniform(0.3, 1.0, verts.size) * rng.choice([-1.0, 1.0], verts.size)
             polys.append(Polygon(verts, amps / np.sqrt(np.sum(amps * amps))))
             pos += verts.size
-        tessellations.append(Tessellation(tuple(polys)))
+        tessellations.append(tessellation_of(tuple(polys)))
     return TessellatedGraph(SimpleGraph(num), tuple(tessellations))
 
 
@@ -464,7 +464,7 @@ class TestStep:
 
     def test_singleton_only_cover_is_identity_for_even_count(self):
         g = SimpleGraph(3, frozenset())
-        singles = Tessellation(tuple(Polygon.uniform([v]) for v in range(3)))
+        singles = tessellation_of(tuple(Polygon.uniform([v]) for v in range(3)))
         tg = TessellatedGraph(g, (singles, singles))
         state = WalkState(random_state(np.random.default_rng(3), 3))
         out = step(tg, state)
@@ -472,7 +472,7 @@ class TestStep:
 
     def test_empty_tessellation_negates(self):
         g = SimpleGraph(2, frozenset())
-        tg = TessellatedGraph(g, (Tessellation(()),))
+        tg = TessellatedGraph(g, (tessellation_of(()),))
         state = WalkState(np.array([0.6, 0.8j]))
         out = step(tg, state)
         np.testing.assert_allclose(out.amplitudes, -state.amplitudes)

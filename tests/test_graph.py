@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_cover
 from sqwsim.graph import (
+    NORM_TOL,
     CoverReport,
     GridSpec,
     ParseError,
@@ -22,12 +23,13 @@ from sqwsim.graph import (
     write_cover,
     write_graph,
 )
+from sqwsim.oracle import tessellation_of
 from sqwsim.search import partial_cover
 
-# Rows of (vertices, starts, amplitudes, message) that the tessellation
-# arrays are refused for; the rows with starts [0, len(vertices)] hold one
-# polygon, and ``Polygon`` and ``Tessellation(...)`` refuse them with the
-# same message.
+# Rows of (vertices, starts, amplitudes, message) that ``Tessellation``
+# refuses its three arrays for.  The rows with starts [0, len(vertices)]
+# hold one polygon: ``Polygon`` refuses them with the same message, and so
+# does ``tessellation_of`` when given them as one unchecked polygon.
 ARRAY_CHECKS = [
     ([0, 1], [0, 2], [1.0, 1.0], "norm"),
     ([0, 1], [0, 2], [np.nan, 1.0], "norm"),
@@ -109,24 +111,26 @@ class TestPolygon:
 class TestTessellation:
     def test_rejects_overlap(self):
         with pytest.raises(ValueError, match="overlap"):
-            Tessellation((Polygon.uniform([0, 1]), Polygon.uniform([1, 2])))
+            tessellation_of((Polygon.uniform([0, 1]), Polygon.uniform([1, 2])))
 
     def test_covered_vertices(self):
-        tess = Tessellation((Polygon.uniform([2, 0]), Polygon.uniform([1])))
+        tess = tessellation_of((Polygon.uniform([2, 0]), Polygon.uniform([1])))
         assert sorted(tess.vertices.tolist()) == [0, 1, 2]
 
     def test_arrays_follow_polygon_order(self):
         polys = (Polygon.uniform([2, 0]), Polygon(np.array([1, 4, 3]), np.array([0.6, 0.48, 0.64j])))
-        tess = Tessellation(polys)
+        tess = tessellation_of(polys)
         assert tess.vertices.tolist() == [2, 0, 1, 4, 3]
         assert tess.starts.tolist() == [0, 2, 5]
         assert tess.sizes.tolist() == [2, 3]
         assert tess.num_polygons == 2
         assert tess.polygons is tess.polygons
-        assert all(a is b for a, b in zip(tess.polygons, polys))
+        for got, given in zip(tess.polygons, polys, strict=True):
+            assert got.vertices.tobytes() == given.vertices.tobytes()
+            assert got.amplitudes.tobytes() == given.amplitudes.tobytes()
 
-    def test_from_arrays_builds_polygons_on_read(self):
-        tess = Tessellation.from_arrays(
+    def test_polygons_are_views_built_on_read(self):
+        tess = Tessellation(
             np.array([5, 1, 2, 0]), np.array([0, 1, 4]), np.array([1.0, 0.6, 0.48, 0.64j])
         )
         polys = tess.polygons
@@ -139,21 +143,21 @@ class TestTessellation:
             tess.amplitudes[0] = 0.0
 
     def test_empty(self):
-        for tess in (Tessellation(()), Tessellation.from_arrays([], [0], [])):
+        for tess in (tessellation_of(()), Tessellation([], [0], [])):
             assert tess.num_polygons == 0
             assert tess.polygons == ()
             assert tess.vertices.dtype == np.int64
 
     @pytest.mark.parametrize("verts,starts,amps,message", ARRAY_CHECKS)
-    def test_from_arrays_checks(self, verts, starts, amps, message):
+    def test_array_checks(self, verts, starts, amps, message):
         with pytest.raises(ValueError, match=message):
-            Tessellation.from_arrays(np.array(verts), np.array(starts), np.array(amps))
+            Tessellation(np.array(verts), np.array(starts), np.array(amps))
 
     @pytest.mark.parametrize("verts,amps,message", ONE_POLYGON_CHECKS)
     def test_constructor_checks_its_polygons(self, verts, amps, message):
         # an unchecked polygon, so the refusal is the tessellation's own
         with pytest.raises(ValueError, match=message):
-            Tessellation((Polygon._unchecked(np.array(verts), np.array(amps)),))
+            tessellation_of((Polygon._unchecked(np.array(verts), np.array(amps)),))
 
 
 class TestPolygonEntries:
@@ -177,7 +181,7 @@ class TestPolygonEntries:
     def test_integral_float_vertices_accepted(self):
         for built in (
             Polygon(np.array([0.0, 2.0]), np.array([0.6, 0.8])),
-            Tessellation.from_arrays(np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0.6, 0.8])),
+            Tessellation(np.array([0.0, 2.0]), np.array([0.0, 2.0]), np.array([0.6, 0.8])),
         ):
             assert built.vertices.tolist() == [0, 2] and built.vertices.dtype == np.int64
 
@@ -281,6 +285,23 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(3, 1).vertex_index(0, 0, 4)
 
+    @pytest.mark.parametrize(
+        "n,q,message",
+        [
+            (3.0, 1, "grid width n must be an integer, got 3.0"),
+            ("3", 1, "grid width n must be an integer, got '3'"),
+            (3, 1.5, "clique parameter q must be an integer, got 1.5"),
+        ],
+    )
+    def test_non_integer_sizes_refused(self, n, q, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridSpec(n, q)
+
+    def test_numpy_integer_sizes_give_the_same_grid(self):
+        spec = GridSpec(np.int64(3), np.int32(2))
+        assert spec == GridSpec(3, 2) and type(spec.n) is int and type(spec.q) is int
+        assert write_cover(make_grid_of_cliques(spec)) == write_cover(make_grid_of_cliques(GridSpec(3, 2)))
+
 
 class TestGridOfCliques:
     def test_smallest_grid_counts(self):
@@ -341,7 +362,7 @@ class TestGridOfCliques:
 class TestValidateCover:
     def test_missing_polygon_reported(self):
         tg = make_grid_of_cliques(GridSpec(2, 1))
-        reduced = Tessellation(tg.tessellations[0].polygons[1:])
+        reduced = tessellation_of(tg.tessellations[0].polygons[1:])
         broken = TessellatedGraph(tg.graph, (reduced, tg.tessellations[1]))
         report = validate_cover(broken)
         assert not report.ok
@@ -359,7 +380,7 @@ class TestValidateCover:
         b = links[1].vertices.tolist()
         links[0] = Polygon.uniform([a[0], b[1]])
         links[1] = Polygon.uniform([b[0], a[1]])
-        tampered = TessellatedGraph(tg.graph, (tg.tessellations[0], Tessellation(tuple(links))))
+        tampered = TessellatedGraph(tg.graph, (tg.tessellations[0], tessellation_of(tuple(links))))
         report = validate_cover(tampered)
         assert report.partition_ok
         assert not report.clique_ok
@@ -367,8 +388,8 @@ class TestValidateCover:
 
     def test_duplicated_vertex_reported(self):
         g = SimpleGraph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
-        tess = Tessellation((Polygon.uniform([0, 1]),))
-        extra = Tessellation((Polygon.uniform([0, 1, 2]),))
+        tess = tessellation_of((Polygon.uniform([0, 1]),))
+        extra = tessellation_of((Polygon.uniform([0, 1, 2]),))
         report = validate_cover(TessellatedGraph(g, (tess, extra)))
         assert (0, 2) in report.uncovered_vertices
 
@@ -412,15 +433,15 @@ def test_validate_cover_matches_pairwise_loop(seed):
     tess = list(cover.tessellations)
     polys = tess[-1].polygons
     drop = int(rng.integers(0, len(polys)))
-    tess[-1] = Tessellation(polys[:drop] + polys[drop + 1 :])
+    tess[-1] = tessellation_of(polys[:drop] + polys[drop + 1 :])
     tg = TessellatedGraph(SimpleGraph(num, kept + extra), tuple(tess))
     assert validate_cover(tg) == _pairwise_report(tg)
 
 
 class TestNoPolygonObjectsOnTheWalkPath:
-    """The grid, the partial cover, reading a cover file, plan sampling and
-    the walk step run on flat arrays alone; ``Polygon`` objects are made
-    only when read."""
+    """The grid, the partial cover, reading and writing cover and graph
+    files, validation, plan sampling and the walk step run on flat arrays
+    alone; ``Polygon`` objects are made only when read."""
 
     @pytest.fixture
     def refuse_polygons(self, monkeypatch):
@@ -468,6 +489,17 @@ class TestNoPolygonObjectsOnTheWalkPath:
             assert got.starts.tolist() == want.starts.tolist()
             assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert validate_cover(read).ok
+
+    @pytest.mark.parametrize("name", ["grid_3_2", "partial_3_2", "coined_12"])
+    def test_write_and_validate(self, refuse_polygons, name):
+        # a fresh tessellation over each array, so no earlier read has cached its polygons
+        cover = GENERATED_COVERS[name]
+        fresh = tuple(Tessellation(t.vertices, t.starts, t.amplitudes) for t in cover.tessellations)
+        tg = TessellatedGraph(cover.graph, fresh)
+        gtext, text = write_graph(tg.graph), write_cover(tg)
+        assert write_cover(read_cover(text, read_graph(gtext))) == text
+        report = validate_cover(tg)
+        assert report.clique_ok and report.ok != name.startswith("partial")
 
     def test_refusal_fires(self, refuse_polygons):
         with pytest.raises(AssertionError):
@@ -621,7 +653,42 @@ class TestCoinedConversion:
             coined_to_staggered(SimpleGraph(3, frozenset({(0, 1)})))
 
 
+def write_cover_per_polygon(tg: TessellatedGraph) -> str:
+    """``write_cover`` written polygon by polygon: each polygon checked for
+    uniform amplitudes and sorted, the rows ordered by their least vertex."""
+    if not tg.tessellations or min(t.num_polygons for t in tg.tessellations) == 0:
+        raise ValueError("cover files need at least one tessellation, and no empty one")
+    out_lines = []
+    for t_idx, tess in enumerate(tg.tessellations):
+        rows = []
+        for poly in tess.polygons:
+            expected = 1.0 / math.sqrt(poly.size)
+            if np.max(np.abs(poly.amplitudes - expected)) > NORM_TOL:
+                raise ValueError("cover files carry only uniform-amplitude polygons")
+            rows.append(sorted(int(v) for v in poly.vertices))
+        rows.sort(key=lambda r: r[0])
+        out_lines.extend(" ".join(str(x) for x in [t_idx] + row) for row in rows)
+    return "\n".join(out_lines) + "\n"
+
+
 class TestGraphIO:
+    @pytest.mark.parametrize("name", sorted(GENERATED_COVERS))
+    def test_write_cover_matches_per_polygon_writer(self, name):
+        tg = GENERATED_COVERS[name]
+        assert write_cover(tg) == write_cover_per_polygon(tg)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_write_cover_matches_per_polygon_writer_on_random_covers(self, seed):
+        # polygons of 1 to 12 vertices, listed in any order and each in any order
+        rng = np.random.default_rng(seed)
+        tg = random_cover(rng, int(rng.integers(1, 40)), int(rng.integers(1, 4)), max_polygon=12, uniform=True)
+        assert write_cover(tg) == write_cover_per_polygon(tg)
+        # both refuse it once a tessellation of random phases is added
+        uneven = random_cover(rng, tg.num_vertices, 1, max_polygon=12).tessellations
+        for writer in (write_cover, write_cover_per_polygon):
+            with pytest.raises(ValueError, match="^cover files carry only uniform-amplitude polygons$"):
+                writer(TessellatedGraph(tg.graph, tg.tessellations + uneven))
+
     def test_read_graph_basic(self):
         g = read_graph("# a comment\n3 2\n0 1\n\n1 2\n")
         assert g.num_vertices == 3
@@ -703,7 +770,7 @@ class TestGraphIO:
 
     @pytest.mark.parametrize(
         "tessellations",
-        [(), (Tessellation(()), Tessellation((Polygon.uniform([0, 1]),)))],
+        [(), (tessellation_of(()), tessellation_of((Polygon.uniform([0, 1]),)))],
         ids=["none", "empty"],
     )
     def test_write_cover_rejects_what_read_cover_refuses(self, tessellations):
@@ -716,7 +783,7 @@ class TestGraphIO:
     def test_write_cover_rejects_non_uniform(self):
         g = SimpleGraph(2, frozenset({(0, 1)}))
         poly = Polygon(np.array([0, 1]), np.array([0.8, 0.6]))
-        tg = TessellatedGraph(g, (Tessellation((poly,)),))
+        tg = TessellatedGraph(g, (tessellation_of((poly,)),))
         with pytest.raises(ValueError, match="uniform"):
             write_cover(tg)
 

@@ -9,7 +9,6 @@ from sqwsim.graph import (
     GridSpec,
     Polygon,
     SimpleGraph,
-    Tessellation,
     TessellatedGraph,
     make_grid_of_cliques,
     validate_cover,
@@ -26,6 +25,7 @@ from sqwsim.oracle import (
     reference_grid_of_cliques,
     remove_vertices,
     shift_matrix,
+    tessellation_of,
     verify_equivalence,
 )
 from sqwsim.search import partial_cover
@@ -69,7 +69,7 @@ class TestReferenceGrid:
         cells = ref.tessellations[0].polygons
         ref_cut = TessellatedGraph(
             ref.graph,
-            (Tessellation(cells[:j] + cells[j + 1 :]), ref.tessellations[1]),
+            (tessellation_of(cells[:j] + cells[j + 1 :]), ref.tessellations[1]),
         )
         report = validate_cover(partial_cover(fast, marked))
         assert report == validate_cover(ref_cut)
@@ -80,7 +80,7 @@ class TestReferenceGrid:
 class TestDenseStepMatrix:
     def test_singleton_tessellations_give_identity(self):
         g = SimpleGraph(3, frozenset())
-        singles = Tessellation(tuple(Polygon.uniform([v]) for v in range(3)))
+        singles = tessellation_of(tuple(Polygon.uniform([v]) for v in range(3)))
         tg = TessellatedGraph(g, (singles,))
         np.testing.assert_allclose(dense_step_matrix(tg).entries, np.eye(3))
 
@@ -121,7 +121,7 @@ class TestDenseStepMatrix:
 
     def test_guard_on_dimension(self):
         g = SimpleGraph(MAX_DENSE_DIM + 4, frozenset())
-        tess = Tessellation(tuple(Polygon.uniform([v]) for v in range(MAX_DENSE_DIM + 4)))
+        tess = tessellation_of(tuple(Polygon.uniform([v]) for v in range(MAX_DENSE_DIM + 4)))
         with pytest.raises(ValueError, match="exceeds"):
             dense_step_matrix(TessellatedGraph(g, (tess,)))
 

@@ -109,6 +109,19 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(spec=GridSpec(4, 1), runs=0)
 
+    def test_rejects_non_integer_marked(self):
+        with pytest.raises(ValueError, match=r"^marked cell coordinate must be an integer, got 0.5$"):
+            SearchConfig(spec=GridSpec(4), marked=(0.5, 1.9))
+
+    def test_numpy_integers_give_the_same_search(self):
+        noise = NoiseSpec(kind="break_polygons", p=0.2, scope=(np.int64(0),))
+        cfg = SearchConfig(GridSpec(np.int64(4)), marked=(np.int64(1), np.int32(2)), noise=noise, max_steps=6, runs=2)
+        want = SearchConfig(GridSpec(4), marked=(1, 2), noise=NoiseSpec("break_polygons", 0.2, scope=(0,)),
+                            max_steps=6, runs=2)
+        assert cfg == want and all(type(c) is int for c in cfg.marked)
+        for got, expected in zip(run_search(cfg), run_search(want), strict=True):
+            assert got.probabilities.tobytes() == expected.probabilities.tobytes()
+
 
 class TestRunSearch:
     def test_noiseless_runs_identical(self):
