@@ -20,8 +20,10 @@ origin (7, 3) under singleton polygon splits; a noisy ``search`` at
 seeds 0 and 7 and one and two workers, and at two workers and seed
 2**64 + 5, whose three 32-bit words take every branch of the seed
 derivation; a q = 3 ``search`` under singleton
-polygon splits and one under vertex noise; and two usage errors that exit
-2.  Each side's package also writes the graph and cover files of
+polygon splits and one under vertex noise; a q = 2 ``search`` marked at
+(9, 9) under one_vs_rest splits at one and two workers, whose tessellation 0
+is read in place over 792 of the 800 vertices, so its reflection negates a
+non-empty tail; and two usage errors that exit 2.  Each side's package also writes the graph and cover files of
 ``GridSpec(4, 1)``, ``GridSpec(3, 3)``, the coined cover of a small graph
 with degrees 1 to 4 and the partial cover of ``GridSpec(4, 2)`` marked at
 (1, 2), whose tessellation 0 skips the marked cell's vertices; these are
@@ -124,6 +126,12 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
     calls["search_q3_polygons_singletons"] = [
         "search", "--n", "10", "--q", "3", "--noise", "polygons", "--p", "0.05", "--split", "singletons",
         "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]
+    # the last cell marked: tessellation 0 stops below N, the one call
+    # whose in-place reflection negates the vertices past its largest
+    for workers in ("1", "2"):
+        calls[f"search_q2_marked_9_9_w{workers}"] = [
+            "search", "--n", "10", "--q", "2", "--marked", "9,9", "--noise", "polygons", "--p", "0.05",
+            "--split", "one_vs_rest", "--runs", "8", "--seed", "4", "--workers", workers, "--out", "search.csv"]
     calls["search_q3_vertices"] = [
         "search", "--n", "10", "--q", "3", "--noise", "vertices", "--p", "0.1",
         "--runs", "6", "--seed", "2", "--workers", "1", "--out", "search.csv"]

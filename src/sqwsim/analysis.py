@@ -192,6 +192,8 @@ def displacement_experiment(
     Reports sigma(t) with CIs, the across-run mean of the final-time cell
     distribution, and the classical sqrt(t) baseline of equal length.
     """
+    steps, runs = _as_index(steps, "steps"), _as_index(runs, "runs")
+    master_seed = _as_index(master_seed, "master seed")
     if steps < 1:
         raise ValueError("need at least one step")
     if runs < 1:

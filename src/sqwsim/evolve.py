@@ -30,7 +30,9 @@ A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
 amplitudes are built only when read.  A tessellation is compiled once per
 thread, in float64 when its amplitudes are real, and reflects a complex
-vector's real and imaginary parts one after the other.
+vector's real and imaginary parts one after the other.  A step looks up its
+cover's layouts once, in a per-thread table keyed weakly by the cover, so a
+small cover's step pays one lookup rather than one per tessellation.
 
 The step loop makes no BLAS call: the unit-norm check that every new state
 passes is an ``einsum`` reduction, which makes no temporary and calls no
@@ -308,6 +310,9 @@ class _Layout(NamedTuple):
 class _Layouts(threading.local):
     def __init__(self):
         self.by_tess: "WeakKeyDictionary[Tessellation, _Layout]" = WeakKeyDictionary()
+        # a cover's layouts and whether its step promotes to complex128; the
+        # value holds no reference to the cover, so the weak key can die
+        self.by_cover: "WeakKeyDictionary[TessellatedGraph, tuple[tuple[_Layout, ...], bool]]" = WeakKeyDictionary()
 
 
 #: Each thread's compiled layouts, since every reflection writes its blocks' scratch.
@@ -355,6 +360,18 @@ def _flatten(tess: Tessellation) -> _Layout:
     return layout
 
 
+def _compiled(tg: TessellatedGraph) -> tuple[tuple[_Layout, ...], bool]:
+    """The layouts of ``tg``'s tessellations in index order (see
+    :func:`_flatten`), and whether any is complex, looked up once per step
+    and built once per thread and cover."""
+    compiled = _layouts.by_cover.get(tg)
+    if compiled is None:
+        layouts = tuple(_flatten(tess) for tess in tg.tessellations)
+        compiled = (layouts, any(layout.terms.dtype == np.complex128 for layout in layouts))
+        _layouts.by_cover[tg] = compiled
+    return compiled
+
+
 def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
              broken: np.ndarray | None = None, breaks=None) -> np.ndarray:
     """out = (2 sum_j |P_j><P_j| - I) vec for the tessellation compiled to
@@ -377,11 +394,12 @@ def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
         for part in ("real", "imag"):
             _reflect(layout, getattr(vec, part), getattr(out, part), broken, breaks)
         return out
-    np.negative(vec[size:], out=out[size:])
+    if size != vec.size:
+        np.negative(vec[size:], out=out[size:])
     if perm is not None:
         # Every caller has checked the state size against the cover, so the
         # indices are in range; "clip" spares take its bounds-check buffer.
-        np.take(vec, perm, out=gathered, mode="clip")
+        vec.take(perm, out=gathered, mode="clip")
     if broken is not None and perm is not None:
         broken_keys = inverse.take(broken[: np.searchsorted(broken, size)])
     for block in blocks:
@@ -392,8 +410,9 @@ def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
             patch = block.lost(broken if perm is None else broken_keys)
         block.reflect(vec, out, patch)
     if perm is not None:
-        np.negative(gathered[covered:], out=terms[covered:])
-        np.take(terms, inverse, out=out[:size], mode="clip")
+        if covered != size:
+            np.negative(gathered[covered:], out=terms[covered:])
+        terms.take(inverse, out=out[:size], mode="clip")
     return out
 
 
@@ -418,8 +437,8 @@ def step(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
     vec = state._amps
     if vec.size != tg.num_vertices:
         raise ValueError(f"state has {vec.size} entries, graph has {tg.num_vertices} vertices")
-    layouts = [_flatten(tess) for tess in tg.tessellations]
-    if any(layout.terms.dtype == np.complex128 for layout in layouts):
+    layouts, promote = _compiled(tg)
+    if promote:
         vec = vec.astype(np.complex128, copy=False)
     broken = None if plan is None or plan.broken_vertex_mask is None else plan.broken_vertices
     breaks = {} if plan is None else plan.polygon_breaks

@@ -287,6 +287,13 @@ class Tessellation:
         sizes.setflags(write=False)
         return sizes
 
+    @functools.cached_property
+    def _uniform_size(self) -> int | None:
+        """The size every polygon has, or None when the sizes differ (or
+        there is no polygon)."""
+        sizes = self.sizes
+        return int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None
+
 
 @dataclass(frozen=True, eq=False)
 class TessellatedGraph:

@@ -85,7 +85,12 @@ class BreakPlan:
     """One step's sampled perturbation, tied to the cover it was drawn from.
 
     Exactly one of ``broken_vertex_mask`` / ``polygon_breaks`` is populated
-    (or neither, for an empty draw).
+    (or neither, for an empty draw).  A plan built by a caller is checked
+    so that :func:`plan_step` and :func:`sqwsim.oracle.apply_plan` read it
+    alike: each ``polygon_breaks`` key is a tessellation of the cover, and
+    its ``broken`` polygons are ascending distinct indices into that
+    tessellation with, under one_vs_rest, a ``lone_slot`` inside each.  The
+    plans :func:`sample_plan` draws skip the check.
     """
 
     cover: TessellatedGraph
@@ -98,6 +103,33 @@ class BreakPlan:
             raise ValueError("a plan breaks either vertices or polygons, not both")
         if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.shape == shape):
             raise ValueError(f"broken_vertex_mask must be a bool array of shape {shape}")
+        tessellations = self.cover.tessellations
+        for key, tb in self.polygon_breaks.items():
+            t_idx = _as_index(key, "polygon_breaks key")
+            if not 0 <= t_idx < len(tessellations):
+                raise ValueError(f"polygon_breaks key {t_idx} is not a tessellation of the cover, "
+                                 f"which has {len(tessellations)}")
+            sizes, broken, lone = tessellations[t_idx].sizes, tb.broken, tb.lone_slot
+            if not (isinstance(broken, np.ndarray) and broken.ndim == 1 and broken.dtype.kind in "iu"
+                    and np.all(broken[1:] > broken[:-1]) and np.all((broken >= 0) & (broken < sizes.size))):
+                raise ValueError(f"broken polygons of tessellation {t_idx} must be a 1-d integer array "
+                                 f"of ascending distinct indices in [0, {sizes.size})")
+            if lone is not None and not (
+                    isinstance(lone, np.ndarray) and lone.shape == broken.shape and lone.dtype.kind in "iu"
+                    and np.all((lone >= 0) & (lone < sizes[broken]))):
+                raise ValueError(f"lone slots of tessellation {t_idx} must be an integer array, one slot "
+                                 f"per broken polygon, each in [0, polygon size)")
+
+    @classmethod
+    def _sampled(cls, cover: TessellatedGraph, broken_vertex_mask: np.ndarray | None = None,
+                 polygon_breaks: Mapping[int, _TessellationBreaks] | None = None) -> BreakPlan:
+        """A plan that :func:`sample_plan` drew from ``cover``, taken
+        without the checks of ``__post_init__``, which hold by construction."""
+        plan = object.__new__(cls)
+        object.__setattr__(plan, "cover", cover)
+        object.__setattr__(plan, "broken_vertex_mask", broken_vertex_mask)
+        object.__setattr__(plan, "polygon_breaks", {} if polygon_breaks is None else polygon_breaks)
+        return plan
 
     @property
     def is_empty(self) -> bool:
@@ -122,28 +154,32 @@ def _scope_of(tg: TessellatedGraph, spec: NoiseSpec) -> tuple[int, ...]:
 def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator) -> BreakPlan:
     """Draw one step's perturbation.  Draw order is fixed (vertices, or one
     uniform block per tessellation in ascending index order followed by the
-    lone-slot draws), so equal seeds give equal plans."""
+    lone-slot draws), so equal seeds give equal plans.
+
+    A tessellation whose polygons share one size m draws its lone slots as
+    ``rng.integers(0, m, size=k)``: the same values, and the same generator
+    state after, as the per-polygon bounds that a ragged tessellation
+    draws with, without numpy's checks of an array bound."""
     if spec.is_off:
-        return BreakPlan(tg)
+        return BreakPlan._sampled(tg)
 
     if spec.kind == "break_vertices":
         mask = rng.random(tg.num_vertices) < spec.p
-        if not mask.any():
-            return BreakPlan(tg)
-        return BreakPlan(tg, broken_vertex_mask=mask)
+        return BreakPlan._sampled(tg, mask if mask.any() else None)
 
     breaks: dict[int, _TessellationBreaks] = {}
     for t_idx in _scope_of(tg, spec):
         tess = tg.tessellations[t_idx]
         hits = rng.random(tess.num_polygons) < spec.p
-        broken = np.flatnonzero(hits)
+        broken = hits.nonzero()[0]
         if broken.size == 0:
             continue
         lone = None
         if spec.split_policy == "one_vs_rest":
-            lone = rng.integers(0, tess.sizes[broken])
+            size = tess._uniform_size
+            lone = rng.integers(0, tess.sizes[broken]) if size is None else rng.integers(0, size, size=broken.size)
         breaks[t_idx] = _TessellationBreaks(broken=broken, lone_slot=lone)
-    return BreakPlan(tg, polygon_breaks=breaks)
+    return BreakPlan._sampled(tg, polygon_breaks=breaks)
 
 
 def plan_step(plan: BreakPlan, state: WalkState) -> WalkState:

@@ -46,8 +46,10 @@ class SearchConfig:
         if not (0 <= x < self.spec.n and 0 <= y < self.spec.n):
             raise ValueError(f"marked cell {self.marked} outside the {self.spec.n}x{self.spec.n} grid")
         object.__setattr__(self, "marked", (x, y))
-        if self.max_steps is None:
-            object.__setattr__(self, "max_steps", default_step_budget(self.spec))
+        steps = default_step_budget(self.spec) if self.max_steps is None else _as_index(self.max_steps, "max_steps")
+        object.__setattr__(self, "max_steps", steps)
+        object.__setattr__(self, "runs", _as_index(self.runs, "runs"))
+        object.__setattr__(self, "master_seed", _as_index(self.master_seed, "master seed"))
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
         if self.runs < 1:
@@ -93,10 +95,10 @@ def _grid_spec_of(tg: TessellatedGraph) -> GridSpec:
     n = math.isqrt(cells.num_polygons)
     if n * n != cells.num_polygons or n < 2:
         raise ValueError("tessellation 0 is not an n*n family of cell cliques")
-    sizes = cells.sizes
-    if sizes[0] % 4 != 0 or np.any(sizes != sizes[0]):
+    size = cells._uniform_size
+    if size is None or size % 4 != 0:
         raise ValueError("cell cliques must all have 4q vertices")
-    spec = GridSpec(n, int(sizes[0]) // 4)
+    spec = GridSpec(n, size // 4)
     if spec.num_vertices != tg.num_vertices:
         raise ValueError("vertex count does not match the grid layout")
     if not np.array_equal(cells.vertices, np.arange(tg.num_vertices)):
@@ -129,7 +131,7 @@ def success_probability(state: WalkState, spec: GridSpec, marked: tuple[int, int
     """Probability of finding the walker on the marked cell's clique."""
     if state.num_vertices != spec.num_vertices:
         raise ValueError("state size does not match the grid")
-    return float(np.sum(_abs2(state, spec.cell_slice(*marked))))
+    return float(_abs2(state, spec.cell_slice(*marked)).sum())
 
 
 def run_search(cfg: SearchConfig, workers: int = 1) -> list[SuccessSeries]:

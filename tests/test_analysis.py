@@ -296,10 +296,26 @@ class TestDisplacementExperiment:
             displacement_experiment(GridSpec(4, 1), 3, origin=(0.5, 0))
 
     def test_numpy_integer_origin_matches_ints(self):
-        got = displacement_experiment(GridSpec(np.int64(8)), 4, origin=(np.int64(3), np.int32(5)))
-        want = displacement_experiment(GridSpec(8), 4, origin=(3, 5))
+        # numpy integers for the counts and the seed too
+        ns = NoiseSpec(kind="break_polygons", p=0.2)
+        got = displacement_experiment(GridSpec(np.int64(8)), np.int32(4), noise=ns, runs=np.uint8(3),
+                                      master_seed=np.int64(4), origin=(np.int64(3), np.int32(5)))
+        want = displacement_experiment(GridSpec(8), 4, noise=ns, runs=3, master_seed=4, origin=(3, 5))
+        assert got.run_seeds == want.run_seeds
         assert got.sigma.mean.tobytes() == want.sigma.mean.tobytes()
+        assert got.classical_sigma.tobytes() == want.classical_sigma.tobytes()
         assert got.mean_distribution.probabilities.tobytes() == want.mean_distribution.probabilities.tobytes()
+
+    @pytest.mark.parametrize(
+        "kwargs, name, value",
+        [({"steps": 2.5}, "steps", 2.5), ({"runs": 2.5}, "runs", 2.5),
+         ({"master_seed": 1.5}, "master seed", 1.5), ({"steps": 3.0}, "steps", 3.0)],
+    )
+    def test_non_integer_counts_refused_up_front(self, kwargs, name, value):
+        # these failed late, with a TypeError from numpy or the seed derivation
+        kwargs = {"steps": 3, **kwargs}
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            displacement_experiment(GridSpec(4), **kwargs)
 
 
 class TestSigmaLinearGrowth:

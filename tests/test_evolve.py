@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,7 +11,9 @@ from conftest import random_cover, random_state, reflect
 from sqwsim.evolve import (
     InvariantError,
     WalkState,
+    _compiled,
     _flatten,
+    _layouts,
     _norm,
     _polygon_sums,
     localized_clique_state,
@@ -224,6 +228,34 @@ class TestCompiledLayout:
         expected = _dense_reflection(tess, 9) @ state.amplitudes
         np.testing.assert_allclose(reflect(tess, state).amplitudes, expected, atol=1e-15)
 
+    def test_in_place_tessellation_stopping_below_the_cover_reflects_as_the_dense_matrix(self):
+        # the last cell's vertices 32..35 follow the in-place block and pick up -I
+        tess = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (2, 2)).tessellations[0]
+        layout = _flatten(tess)
+        assert (layout.size, layout.perm) == (32, None)
+        for state in (WalkState(random_state(np.random.default_rng(13), 36)), uniform_state(36)):
+            expected = _dense_reflection(tess, 36) @ state.amplitudes
+            np.testing.assert_allclose(reflect(tess, state).amplitudes, expected, atol=1e-15)
+
+    def test_step_looks_up_a_cover_once_per_thread(self):
+        # one table entry per cover and thread holds the tessellations'
+        # layouts; it must not keep the cover alive
+        tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
+        step(tg, uniform_state(tg.num_vertices))
+        layouts, promote = _layouts.by_cover[tg]
+        assert not promote and _compiled(tg) is _layouts.by_cover[tg]
+        assert all(layout is _flatten(tess) for layout, tess in zip(layouts, tg.tessellations, strict=True))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            theirs, _ = pool.submit(_compiled, tg).result(timeout=60)
+        assert all(a is not b for a, b in zip(layouts, theirs, strict=True))
+        complex_tg = TessellatedGraph(SimpleGraph(3), (tessellation_of(
+            (Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2]))),))
+        assert _compiled(complex_tg)[1]
+        cover = weakref.ref(tg)
+        del tg, layouts, theirs
+        gc.collect()
+        assert cover() is None
+
     def test_real_blocks_share_their_amplitudes_as_conjugates(self):
         for tess in partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1)).tessellations:
             assert all(b.conj_amps is b.amps for b in _flatten(tess).blocks)
@@ -361,6 +393,9 @@ def _split_covers() -> dict[str, TessellatedGraph]:
         tg = make_grid_of_cliques(GridSpec(6, q))
         covers[f"grid_q{q}"] = tg
         covers[f"partial_q{q}"] = partial_cover(tg, (2, 3))
+    # marked at the last cell: tessellation 0 is read in place over vertices
+    # 0..279 of 288, and the -I tail after it is not empty
+    covers["partial_last_q2"] = partial_cover(make_grid_of_cliques(GridSpec(6, 2)), (5, 5))
     # degrees 1 to 5: a coin tessellation of five polygon sizes, one of them 1
     ring = [(v, (v + 1) % 12) for v in range(12)]
     irregular = SimpleGraph(13, frozenset(ring + [(0, 3), (0, 6), (0, 8), (2, 9), (4, 10), (5, 12)]))

@@ -15,6 +15,7 @@ from sqwsim.graph import (
     make_grid_of_cliques,
 )
 from sqwsim.noise import (
+    SPLIT_POLICIES,
     BreakPlan,
     NoiseSpec,
     plan_step,
@@ -223,6 +224,54 @@ class TestSamplePlan:
             assert sorted(v for block in blocks for v in block) == sorted(poly.vertices.tolist())
 
 
+def _array_bound_breaks(tg, spec, rng):
+    """The polygon breaks ``sample_plan`` drew before equal-size
+    tessellations took the scalar bound: every lone-slot draw passes the
+    broken polygons' sizes as an array bound."""
+    breaks = {}
+    for t_idx in range(tg.num_tessellations) if spec.scope is None else spec.scope:
+        tess = tg.tessellations[t_idx]
+        broken = np.flatnonzero(rng.random(tess.num_polygons) < spec.p)
+        if broken.size:
+            lone = rng.integers(0, tess.sizes[broken]) if spec.split_policy == "one_vs_rest" else None
+            breaks[t_idx] = (broken, lone)
+    return breaks
+
+
+class TestLoneSlotDraw:
+    """Tessellations of one polygon size draw their lone slots with a scalar
+    bound; the plans, and the generator after each, must be those of the
+    array-bound draw, or every noisy one_vs_rest output would change."""
+
+    def test_scalar_bound_draws_the_array_bound_plans(self):
+        covers = []
+        for q in (1, 2, 3):
+            tg = make_grid_of_cliques(GridSpec(4, q))
+            covers += [tg, partial_cover(tg, (3, 3)), partial_cover(tg, (1, 2))]
+        ragged = [random_cover(np.random.default_rng(seed), 30, 2, max_polygon=6, uniform=True) for seed in (1, 2)]
+        assert all(tess._uniform_size is None for tg in ragged for tess in tg.tessellations)
+        assert all(tess._uniform_size is not None for tg in covers for tess in tg.tessellations)
+        specs = [NoiseSpec(kind="break_polygons", p=p, split_policy=split)
+                 for p in (0.01, 0.1, 0.5) for split in SPLIT_POLICIES]
+        lone_slots = 0
+        for seed in range(500):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for tg in covers + ragged:
+                for spec in specs:
+                    plan, want = sample_plan(tg, spec, rng), _array_bound_breaks(tg, spec, reference)
+                    assert list(plan.polygon_breaks) == list(want)
+                    for t_idx, (broken, lone) in want.items():
+                        tb = plan.polygon_breaks[t_idx]
+                        assert tb.broken.dtype == broken.dtype and tb.broken.tobytes() == broken.tobytes()
+                        if lone is None:
+                            assert tb.lone_slot is None
+                        else:
+                            assert tb.lone_slot.dtype == lone.dtype and tb.lone_slot.tobytes() == lone.tobytes()
+                            lone_slots += lone.size
+                    assert rng.random() == reference.random()
+        assert lone_slots > 100_000
+
+
 class TestPerturbedStep:
     def test_off_noise_is_bitwise_plain_step(self):
         tg = make_grid_of_cliques(GridSpec(3, 1))
@@ -329,6 +378,67 @@ class TestPerturbedStep:
         with pytest.raises(ValueError, match=r"^broken_vertex_mask must be a bool array of shape \(36,\)$"):
             BreakPlan(tg, broken_vertex_mask=mask)
         assert BreakPlan(tg, broken_vertex_mask=np.arange(36) == 3).broken_vertices.tolist() == [3]
+
+    @pytest.mark.parametrize(
+        "breaks, message",
+        [
+            # plan_step ignored a key past the cover, and apply_plan raised IndexError
+            ({5: ([1], None)}, r"^polygon_breaks key 5 is not a tessellation of the cover, which has 2$"),
+            ({-1: ([1], None)}, r"^polygon_breaks key -1 is not a tessellation"),
+            ({1.0: ([1], None)}, r"^polygon_breaks key must be an integer, got 1.0$"),
+            ({0: ([3, 1], None)}, r"^broken polygons of tessellation 0 must be a 1-d integer array"),
+            ({0: ([1, 1], None)}, r"^broken polygons of tessellation 0 must be"),
+            ({0: ([-1], None)}, r"^broken polygons of tessellation 0 must be .* in \[0, 9\)$"),
+            ({1: ([18], None)}, r"^broken polygons of tessellation 1 must be .* in \[0, 18\)$"),
+            ({0: (np.array([1.0]), None)}, r"^broken polygons of tessellation 0 must be"),
+            ({0: (np.array([[1]]), None)}, r"^broken polygons of tessellation 0 must be"),
+            ({0: ([True], None)}, r"^broken polygons of tessellation 0 must be"),
+            # plan_step walked slot -1 as slot 3, and apply_plan refused it
+            ({0: ([1], [-1])}, r"^lone slots of tessellation 0 must be an integer array"),
+            # slot 4 of a 4-clique: a bare IndexError on both routes
+            ({0: ([1], [4])}, r"^lone slots of tessellation 0 must be"),
+            ({1: ([2, 5], [0, 2])}, r"^lone slots of tessellation 1 must be"),
+            ({0: ([1, 2], [0])}, r"^lone slots of tessellation 0 must be"),
+            ({0: ([1], np.array([0.0]))}, r"^lone slots of tessellation 0 must be"),
+        ],
+    )
+    def test_caller_plan_the_routes_read_differently_is_refused(self, breaks, message):
+        tg = make_grid_of_cliques(GridSpec(3, 1))
+        polygon_breaks = {
+            key: _TessellationBreaks(
+                broken=np.asarray(broken), lone_slot=None if lone is None else np.asarray(lone))
+            for key, (broken, lone) in breaks.items()
+        }
+        with pytest.raises(ValueError, match=message):
+            BreakPlan(tg, polygon_breaks=polygon_breaks)
+
+    def test_caller_plan_inside_the_cover_walks_alike_on_both_routes(self):
+        tg = make_grid_of_cliques(GridSpec(3, 1))
+        plan = BreakPlan(tg, polygon_breaks={
+            np.int64(0): _TessellationBreaks(broken=np.array([0, 4, 8]), lone_slot=np.array([3, 0, 2])),
+            1: _TessellationBreaks(broken=np.array([], dtype=np.int64), lone_slot=np.array([], dtype=np.int64)),
+        })
+        state = WalkState(random_state(np.random.default_rng(3), tg.num_vertices))
+        np.testing.assert_allclose(
+            plan_step(plan, state).amplitudes, step(apply_plan(tg, plan), state).amplitudes, atol=1e-13)
+
+    def test_sampler_skips_the_plan_check(self, monkeypatch):
+        # sample_plan's plans hold the checked properties by construction, so
+        # it builds them without the check
+        def refuse(plan):
+            raise AssertionError("the plan check ran")
+
+        monkeypatch.setattr(BreakPlan, "__post_init__", refuse)
+        tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (1, 1))
+        with pytest.raises(AssertionError, match="the plan check ran"):
+            BreakPlan(tg)
+        rng = np.random.default_rng(6)
+        specs = [NoiseSpec(), NoiseSpec(kind="break_vertices", p=0.0), NoiseSpec(kind="break_vertices", p=0.3),
+                 NoiseSpec(kind="break_polygons", p=0.5), NoiseSpec(kind="break_polygons", p=0.5,
+                                                                     split_policy="one_vs_rest")]
+        for spec in specs:
+            plan = sample_plan(tg, spec, rng)
+            assert plan.cover is tg and plan.is_empty == spec.is_off
 
     def test_plan_for_wrong_cover_rejected(self):
         tg1 = make_grid_of_cliques(GridSpec(2, 1))

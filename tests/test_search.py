@@ -115,12 +115,24 @@ class TestSearchConfig:
 
     def test_numpy_integers_give_the_same_search(self):
         noise = NoiseSpec(kind="break_polygons", p=0.2, scope=(np.int64(0),))
-        cfg = SearchConfig(GridSpec(np.int64(4)), marked=(np.int64(1), np.int32(2)), noise=noise, max_steps=6, runs=2)
+        cfg = SearchConfig(GridSpec(np.int64(4)), marked=(np.int64(1), np.int32(2)), noise=noise,
+                           max_steps=np.int32(6), runs=np.uint8(2), master_seed=np.int64(9))
         want = SearchConfig(GridSpec(4), marked=(1, 2), noise=NoiseSpec("break_polygons", 0.2, scope=(0,)),
-                            max_steps=6, runs=2)
-        assert cfg == want and all(type(c) is int for c in cfg.marked)
+                            max_steps=6, runs=2, master_seed=9)
+        assert cfg == want and all(type(v) is int for v in (*cfg.marked, cfg.max_steps, cfg.runs, cfg.master_seed))
         for got, expected in zip(run_search(cfg), run_search(want), strict=True):
+            assert got.run_seed == expected.run_seed
             assert got.probabilities.tobytes() == expected.probabilities.tobytes()
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("runs", 2.5, "runs"), ("master_seed", 1.5, "master seed"), ("max_steps", 3.5, "max_steps"),
+         ("runs", "2", "runs"), ("max_steps", 3.0, "max_steps")],
+    )
+    def test_non_integer_counts_refused_up_front(self, field, value, name):
+        # these were accepted, then failed in run_search with a TypeError
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+            SearchConfig(GridSpec(4), **{field: value})
 
 
 class TestRunSearch:
