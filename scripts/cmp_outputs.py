@@ -15,7 +15,9 @@ The set: the ``evolve_q1`` and ``sweep_search`` benchmark commands at seeds
 0 and 7, each at one and two workers, and ``sweep_search`` at seed 0 and
 three workers; the C10 sweep at one and two workers; a 6,000-step noiseless
 evolve, which crosses the renormalization guard at t = 1000; a q = 3
-evolve under each split policy and under vertex noise; a q = 2 evolve from
+evolve under each split policy and under vertex noise; a q = 2 evolve under
+vertex noise at p = 0.6 and p = 1.0, at one and two workers, whose cells
+keep anywhere from none to all but one of their entries; a q = 2 evolve from
 origin (7, 3) under singleton polygon splits; a noisy ``search`` at
 seeds 0 and 7 and one and two workers, and at two workers and seed
 2**64 + 5, whose three 32-bit words take every branch of the seed
@@ -108,7 +110,14 @@ def _calls(inputs: Path) -> dict[str, list[str]]:
     calls["evolve_q3_vertices"] = [
         "evolve", "--n", "20", "--q", "3", "--steps", "60", "--runs", "8", "--noise", "vertices",
         "--p", "0.05", "--seed", "3", "--workers", "1", *_EVOLVE_OUT]
-    # the only call that walks q = 2 or starts off the origin, where sigma
+    # polygons that lose most or all of their entries: a q = 2 cell keeps k
+    # of its 8 entries for every k from 0 to 7
+    for p in ("0.6", "1.0"):
+        for workers in ("1", "2"):
+            calls[f"evolve_q2_vertices_p{p}_w{workers}"] = [
+                "evolve", "--n", "8", "--q", "2", "--steps", "30", "--runs", "4", "--noise", "vertices",
+                "--p", p, "--seed", "6", "--workers", workers, *_EVOLVE_OUT]
+    # the only call that starts off the origin, where sigma
     # reads the cached minimal-image displacements of a nonzero origin
     calls["evolve_q2_origin_7_3"] = [
         "evolve", "--n", "20", "--q", "2", "--origin", "7,3", "--steps", "40", "--runs", "4", "--noise", "polygons",

@@ -12,7 +12,12 @@ grid of cliques and the coin tessellation of a regular graph are, is read
 and written in place.  Any other tessellation compiles one permutation of
 the vertices below one past its largest (its blocks' entries, then the
 vertices it leaves uncovered) and its inverse: a reflection gathers through
-the one and writes back through the other, with one ``take`` each.
+the one and writes back through the other, with one ``take`` each.  A block
+of two or more polygons whose entries all hold one real amplitude is
+compiled to its shape and that one amplitude, with no per-entry amplitude
+tables.  The grid, its partial covers, the coined covers and every cover
+file give each polygon of size m the amplitude 1/sqrt(m), so each of their
+blocks of two or more polygons is uniform.
 
 Noise detaches entries from their polygons, as a sampled plan handed to
 :func:`step` says: each polygon is reweighted by the squared amplitudes of
@@ -23,8 +28,10 @@ compiles, on its first break, each polygon's renormalizing factor whole
 (and, on its first one_vs_rest split, with each one entry detached), so a
 break touches only the columns of the polygons that lose entries: a split
 reads their factors from these tables, and the polygons that broken vertices
-hit are weighed anew.  Each block writes its detached entries last.  The
-compiled layout is private to this module.
+hit are weighed anew, or, in a uniform block, read from a table by the
+number of entries each keeps.  A block writes its split-off entries last,
+and a reflection writes its broken vertices after its blocks, at vertex
+level.  The compiled layout is private to this module.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -150,6 +157,12 @@ class _Block:
     block's polygons by their index in the tessellation, and is
     ``slice(None)`` when the block holds them all.
 
+    A uniform block, whose entries all hold one real amplitude (see
+    :func:`_one_amplitude`), holds that amplitude as a stride-0 (m, P) view
+    for ``amps`` and ``conj_amps``, no ``amps2``, and ``kept_scale``: entry
+    k is 2/weight of a polygon that keeps k of its m entries.  Any other
+    block holds ``amps`` and ``amps2`` whole, and no ``kept_scale``.
+
     ``index`` and ``gathered`` are None when the tessellation is this one
     block over vertices 0..E-1 in polygon order, as for the cells of the grid
     of cliques: the block then reads and writes a view of the state's
@@ -166,7 +179,8 @@ class _Block:
     index: np.ndarray | None
     amps: np.ndarray
     conj_amps: np.ndarray
-    amps2: np.ndarray
+    amps2: np.ndarray | None
+    kept_scale: np.ndarray | None
     terms: np.ndarray
     gathered: np.ndarray | None
 
@@ -180,14 +194,19 @@ class _Block:
     def scale(self) -> np.ndarray:
         """2/weight per polygon, the weight being its sum of |amplitude|^2:
         the factor of a perturbed reflection for the polygons it leaves
-        whole.  Built on the block's first break."""
+        whole, one value for a uniform block.  Built on the block's first
+        break."""
+        if self.kept_scale is not None:
+            return self.kept_scale[-1]
         return _inverse_weights(self.amps2)
 
     @cached_property
     def lone_scale(self) -> np.ndarray:
         """Row j: 2/weight per polygon with the entry of slot j detached, the
         factor of a polygon that loses that one entry.  (m, P), built on the
-        block's first one_vs_rest split."""
+        block's first one_vs_rest split; one value for a uniform block."""
+        if self.kept_scale is not None:
+            return self.kept_scale[-2]
         slots = np.arange(self.amps.shape[0])[:, None]
         return np.array([_inverse_weights(np.where(slots == j, 0.0, self.amps2)) for j in range(slots.size)])
 
@@ -202,9 +221,10 @@ class _Block:
             polygons, slots = columns[held], None if slots is None else slots[held]
         if slots is None:
             # the broken polygons keep no entry, so their factors are never read
-            return None, polygons[:0], self.scale[:0], (slice(None), polygons), np.positive
+            return None, polygons[:0], 0.0, (slice(None), polygons)
         entries = slots * self.amps.shape[1] + polygons
-        return entries, polygons, self.lone_scale.take(entries), (slots, polygons), np.positive
+        lone = self.lone_scale
+        return entries, polygons, lone if lone.ndim == 0 else lone.take(entries), (slots, polygons)
 
     def lost(self, keys: np.ndarray) -> tuple:
         """The patch (see :meth:`reflect`) of the broken vertices: ``keys``
@@ -218,7 +238,10 @@ class _Block:
         else:
             entries = keys - self.offset
             entries = entries[(entries >= 0) & (entries < self.amps.size)]
-            rows, columns = np.divmod(entries, size)
+            columns = entries % size
+        if self.kept_scale is not None:
+            # each hit polygon, once per entry it loses, by how many it keeps
+            return entries, columns, self.kept_scale[m - np.bincount(columns)[columns]], None
         # Weigh each hit polygon anew, once per entry it loses, from a copy of
         # its column with all its lost entries zeroed.  A C-ordered copy of
         # two or more columns sums row by row, as the whole block does; one
@@ -231,19 +254,19 @@ class _Block:
             kept = self.amps2.take(np.repeat(hit, 2) if hit.size == 1 < size else hit, axis=1)
         finally:
             amps2[entries] = saved
-        return entries, hit, _inverse_weights(kept)[: hit.size], (rows, columns), np.negative
+        return entries, hit, _inverse_weights(kept)[: hit.size], None
 
     def reflect(self, vec: np.ndarray, out: np.ndarray, patch: tuple | None = None) -> None:
         """Reflect the block's entries (see :func:`_reflect`): of ``vec`` into
         ``out`` when the block is read in place, else of ``gathered`` into
         ``terms``.  ``patch`` is None for a clean reflection, else
-        ``(entries, hit, hit_scale, detached, sign)``: the detached entries
-        to leave out of the polygon sums, as flat indices into the (m, P)
-        arrays (None when no polygon keeps any of its entries); polygons
-        that lose entries, and their factors 2/weight over the entries they
-        keep (the others take ``scale``); the detached entries as an index
-        of the (m, P) arrays; and the ufunc they reflect with, ``np.positive``
-        or ``np.negative``, exact on either sign of zero."""
+        ``(entries, hit, hit_scale, split)``: the detached entries to leave
+        out of the polygon sums, as flat indices into the (m, P) arrays
+        (None when no polygon keeps any of its entries); polygons that lose
+        entries, and their factors 2/weight over the entries they keep (the
+        others take ``scale``); and the split-off entries as an index of
+        the (m, P) arrays, or None for broken vertices, which
+        :func:`_reflect` writes itself."""
         if self.index is None:
             sv, res = self.gather(vec), self.gather(out)
         else:
@@ -255,7 +278,7 @@ class _Block:
         else:
             # The clean pass, renormalized: a detached entry leaves its
             # polygon's sum as it left its weight.
-            entries, hit, hit_scale, detached, sign = patch
+            entries, hit, hit_scale, split = patch
             if entries is not None:
                 terms.reshape(-1)[entries] = 0.0  # a view: terms is C-contiguous
             factor = _polygon_sums(terms)
@@ -264,10 +287,9 @@ class _Block:
             factor[hit] = renormalized
         np.multiply(factor, self.amps, out=res)
         res -= sv
-        if patch is not None:
-            # a split-off entry reflects as a singleton polygon (+1), and a
-            # broken vertex leaves the cover (-1)
-            res[detached] = sign(sv[detached])
+        if patch is not None and split is not None:
+            # a split-off entry reflects as a singleton polygon
+            res[split] = sv[split]
 
 
 def _polygon_sums(entries: np.ndarray) -> np.ndarray:
@@ -319,6 +341,30 @@ class _Layouts(threading.local):
 _layouts = _Layouts()
 
 
+def _one_amplitude(amps: np.ndarray, entries: np.ndarray) -> np.float64 | None:
+    """The one real amplitude that the (m, P) ``entries`` of a block hold,
+    read from its tessellation's flat amplitudes ``amps`` (without a gather
+    when the block holds them all); None when they differ or are complex.
+    Also None for a one-polygon block: ``_polygon_sums`` adds its one column
+    pairwise from nine entries on, so a weight counted from equal terms
+    added one after another need not match it to the bit."""
+    if amps.dtype != np.float64 or entries.shape[1] < 2:
+        return None
+    one = amps[entries[0, 0]]
+    return one if ((amps if entries.size == amps.size else amps[entries]) == one).all() else None
+
+
+def _kept_scale(amp: np.float64, m: int) -> np.ndarray:
+    """Entry k: 2/weight of a polygon of m entries of amplitude ``amp`` that
+    keeps k of them (0 for k = 0), the weight being k equal |amp|^2 added
+    one after another.  ``_polygon_sums`` of a block of two or more polygons
+    adds each column so, whatever slots hold the lost entries' zeros, since
+    adding 0.0 is exact."""
+    scale = np.zeros(m + 1)
+    np.divide(2.0, np.cumsum(np.full(m, amp * amp)), out=scale[1:])
+    return scale
+
+
 def _flatten(tess: Tessellation) -> _Layout:
     """The layout of ``tess``, compiled once per thread: one block per
     polygon size, each holding its polygons in tessellation order, float64
@@ -328,13 +374,17 @@ def _flatten(tess: Tessellation) -> _Layout:
     layout = _layouts.by_tess.get(tess)
     if layout is not None:
         return layout
-    vertices, amps, sizes = tess.vertices, tess.amplitudes, tess.sizes
+    vertices, amps, starts = tess.vertices, tess.amplitudes, tess.starts
     if not amps.imag.any():
         amps = np.ascontiguousarray(amps.real)
-    amps2 = amps.real**2 + amps.imag**2
-    distinct = _sorted_distinct(sizes).tolist()
-    groups = [slice(None) if len(distinct) == 1 else np.flatnonzero(sizes == m) for m in distinct]
-    entries = [tess.starts[:-1][polygons] + np.arange(m)[:, None] for m, polygons in zip(distinct, groups)]
+    uniform_size = tess._uniform_size
+    if uniform_size is not None:
+        distinct, groups = [uniform_size], [slice(None)]
+    else:
+        sizes = tess.sizes
+        distinct = _sorted_distinct(sizes).tolist()
+        groups = [np.flatnonzero(sizes == m) for m in distinct]
+    entries = [starts[:-1][polygons] + np.arange(m)[:, None] for m, polygons in zip(distinct, groups)]
     size = int(vertices.max()) + 1 if vertices.size else 0
     perm = inverse = gathered = None
     if len(distinct) > 1 or not np.array_equal(vertices, np.arange(size)):
@@ -349,11 +399,17 @@ def _flatten(tess: Tessellation) -> _Layout:
     for polygons, e in zip(groups, entries):
         at = slice(offset, offset + e.size)
         index, terms_at, gathered_at = (None if a is None else a[at].reshape(e.shape) for a in (perm, terms, gathered))
-        block_amps = amps[e]
+        one = _one_amplitude(amps, e)
+        if one is None:
+            block_amps = amps[e]
+            block_amps2, kept_scale = block_amps.real**2 + block_amps.imag**2, None
+        else:
+            block_amps = np.broadcast_to(one, e.shape)
+            block_amps2, kept_scale = None, _kept_scale(one, e.shape[0])
         blocks.append(_Block(
             polygons=polygons, offset=offset, index=index, amps=block_amps,
             conj_amps=block_amps if amps.dtype == np.float64 else np.conj(block_amps),
-            amps2=amps2[e], terms=terms_at, gathered=gathered_at,
+            amps2=block_amps2, kept_scale=kept_scale, terms=terms_at, gathered=gathered_at,
         ))
         offset += e.size
     layout = _layouts.by_tess[tess] = _Layout(size, offset, tuple(blocks), perm, inverse, gathered, terms)
@@ -413,6 +469,9 @@ def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
         if covered != size:
             np.negative(gathered[covered:], out=terms[covered:])
         terms.take(inverse, out=out[:size], mode="clip")
+    if broken is not None:
+        # a broken vertex leaves the cover and picks up -I
+        out[broken] = -vec[broken]
     return out
 
 
@@ -422,7 +481,7 @@ def step(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
 
     ``plan`` is a :class:`sqwsim.noise.BreakPlan` sampled from ``tg`` itself
     (a plan drawn from another cover, even an equal one, is refused), read
-    only through its ``broken_vertex_mask``, ``broken_vertices`` and
+    only through its ``broken_vertices``, which it carries sorted, and
     ``polygon_breaks`` (``sqwsim.noise`` imports this module, so the type is
     not imported here): a broken vertex detaches from its polygon in every
     tessellation and leaves the cover, and the split-off entries of a broken
@@ -440,7 +499,7 @@ def step(tg: TessellatedGraph, state: WalkState, plan=None) -> WalkState:
     layouts, promote = _compiled(tg)
     if promote:
         vec = vec.astype(np.complex128, copy=False)
-    broken = None if plan is None or plan.broken_vertex_mask is None else plan.broken_vertices
+    broken = None if plan is None or not plan.broken_vertices.size else plan.broken_vertices
     breaks = {} if plan is None else plan.polygon_breaks
     buffers = [np.empty_like(vec) for _ in range(min(2, len(layouts)))]
     cur = vec

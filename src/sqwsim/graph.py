@@ -290,9 +290,11 @@ class Tessellation:
     @functools.cached_property
     def _uniform_size(self) -> int | None:
         """The size every polygon has, or None when the sizes differ (or
-        there is no polygon)."""
-        sizes = self.sizes
-        return int(sizes[0]) if sizes.size and (sizes == sizes[0]).all() else None
+        there is no polygon).  Read from ``starts``, so a tessellation of
+        one polygon size never caches ``sizes``."""
+        starts = self.starts
+        size = int(starts[1]) if starts.size > 1 else 0
+        return size if size and (np.diff(starts) == size).all() else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -80,15 +80,24 @@ class _TessellationBreaks:
     lone_slot: np.ndarray | None
 
 
+#: The broken vertices of a plan that breaks none.
+_NO_VERTICES = np.empty(0, dtype=np.intp)
+_NO_VERTICES.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class BreakPlan:
     """One step's sampled perturbation, tied to the cover it was drawn from.
 
-    Exactly one of ``broken_vertex_mask`` / ``polygon_breaks`` is populated
-    (or neither, for an empty draw).  A plan built by a caller is checked
-    so that :func:`plan_step` and :func:`sqwsim.oracle.apply_plan` read it
-    alike: each ``polygon_breaks`` key is a tessellation of the cover, and
-    its ``broken`` polygons are ascending distinct indices into that
+    At most one of ``broken_vertex_mask`` / ``polygon_breaks`` is populated,
+    and neither for a plan that breaks nothing: a mask that breaks no vertex
+    is kept as None, and a tessellation whose entry breaks no polygon is left
+    out, so such a plan is empty and walks exactly the clean path.
+    ``broken_vertices`` lists the mask's vertices, ascending, read once when
+    the plan is made.  A plan built by a caller is checked so that
+    :func:`plan_step` and :func:`sqwsim.oracle.apply_plan` read it alike:
+    each ``polygon_breaks`` key is a tessellation of the cover, and its
+    ``broken`` polygons are ascending distinct indices into that
     tessellation with, under one_vs_rest, a ``lone_slot`` inside each.  The
     plans :func:`sample_plan` draws skip the check.
     """
@@ -96,6 +105,7 @@ class BreakPlan:
     cover: TessellatedGraph
     broken_vertex_mask: np.ndarray | None = None
     polygon_breaks: Mapping[int, _TessellationBreaks] = field(default_factory=dict)
+    broken_vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mask, shape = self.broken_vertex_mask, (self.cover.num_vertices,)
@@ -119,27 +129,29 @@ class BreakPlan:
                     and np.all((lone >= 0) & (lone < sizes[broken]))):
                 raise ValueError(f"lone slots of tessellation {t_idx} must be an integer array, one slot "
                                  f"per broken polygon, each in [0, polygon size)")
+        broken = _NO_VERTICES if mask is None else mask.nonzero()[0]
+        object.__setattr__(self, "broken_vertex_mask", mask if broken.size else None)
+        object.__setattr__(self, "broken_vertices", broken)
+        object.__setattr__(self, "polygon_breaks",
+                           {key: tb for key, tb in self.polygon_breaks.items() if tb.broken.size})
 
     @classmethod
     def _sampled(cls, cover: TessellatedGraph, broken_vertex_mask: np.ndarray | None = None,
+                 broken_vertices: np.ndarray = _NO_VERTICES,
                  polygon_breaks: Mapping[int, _TessellationBreaks] | None = None) -> BreakPlan:
         """A plan that :func:`sample_plan` drew from ``cover``, taken
-        without the checks of ``__post_init__``, which hold by construction."""
+        without the checks and normalization of ``__post_init__``, which
+        hold by construction."""
         plan = object.__new__(cls)
         object.__setattr__(plan, "cover", cover)
         object.__setattr__(plan, "broken_vertex_mask", broken_vertex_mask)
+        object.__setattr__(plan, "broken_vertices", broken_vertices)
         object.__setattr__(plan, "polygon_breaks", {} if polygon_breaks is None else polygon_breaks)
         return plan
 
     @property
     def is_empty(self) -> bool:
         return self.broken_vertex_mask is None and not self.polygon_breaks
-
-    @property
-    def broken_vertices(self) -> np.ndarray:
-        if self.broken_vertex_mask is None:
-            return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(self.broken_vertex_mask)
 
 
 def _scope_of(tg: TessellatedGraph, spec: NoiseSpec) -> tuple[int, ...]:
@@ -165,7 +177,8 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
 
     if spec.kind == "break_vertices":
         mask = rng.random(tg.num_vertices) < spec.p
-        return BreakPlan._sampled(tg, mask if mask.any() else None)
+        broken = mask.nonzero()[0]
+        return BreakPlan._sampled(tg, mask, broken) if broken.size else BreakPlan._sampled(tg)
 
     breaks: dict[int, _TessellationBreaks] = {}
     for t_idx in _scope_of(tg, spec):

@@ -13,6 +13,8 @@ from sqwsim.evolve import (
     WalkState,
     _compiled,
     _flatten,
+    _inverse_weights,
+    _kept_scale,
     _layouts,
     _norm,
     _polygon_sums,
@@ -357,7 +359,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
                 if breaks is None and vertex_mask is None:
                     factor = 2.0 * _polygon_sums(terms)
                 else:
-                    weight = _polygon_sums(np.where(drop, 0.0, block.amps2))
+                    weight = _polygon_sums(np.where(drop, 0.0, block.amps.real**2 + block.amps.imag**2))
                     np.copyto(terms, 0.0, where=drop)
                     scale = np.zeros_like(weight)
                     np.divide(2.0, weight, out=scale, where=weight > 0.0)
@@ -467,6 +469,78 @@ class TestSplitPatch:
         out = plan_step(BreakPlan(tg, broken_vertex_mask=mask), state)._amps
         assert out.dtype == np.complex128
         assert out[mask].tobytes() == (-state._amps[mask].astype(np.complex128)).tobytes()
+
+
+class TestUniformBlock:
+    """A block of two or more polygons whose entries hold one real amplitude
+    compiles to its shape and that amplitude, and weighs the polygons that
+    broken vertices hit from a table by how many entries each keeps; it must
+    walk as the general block does, to the bit."""
+
+    @staticmethod
+    def _check_table(m: int, kept: np.ndarray) -> None:
+        # the amplitude 1/sqrt(m) that the grid, read_cover and
+        # coined_to_staggered give a polygon of size m; each column of
+        # ``kept`` is one polygon's kept slots, and a block of two or more
+        # columns sums each of them row by row
+        amps = np.full(kept.shape, 1.0 / math.sqrt(m))
+        amps2 = amps.real**2 + amps.imag**2
+        amps2[~kept] = 0.0
+        table = _kept_scale(amps[0, 0], m)
+        assert table[kept.sum(axis=0)].tobytes() == _inverse_weights(amps2).tobytes()
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_kept_count_table_weighs_every_subset_of_lost_slots(self, m):
+        columns = np.arange(2**m)
+        self._check_table(m, (columns >> np.arange(m)[:, None]) & 1 == 1)
+
+    @pytest.mark.parametrize("m", [16, 24, 40])
+    def test_kept_count_table_weighs_sampled_subsets_of_lost_slots(self, m):
+        rng = np.random.default_rng(m)
+        self._check_table(m, rng.random((m, 4000)) < rng.random(4000))
+
+    def test_one_polygon_block_keeps_its_amplitudes(self):
+        # its one column sums pairwise from nine entries on, which a table of
+        # sums one after another does not match
+        (block,) = _flatten(tessellation_of((Polygon.uniform(range(9)),))).blocks
+        assert block.kept_scale is None and block.amps2.shape == (9, 1)
+
+    def test_grid_blocks_own_no_per_entry_amplitudes(self):
+        tg = make_grid_of_cliques(GridSpec(100, 1))
+        state, rng = uniform_state(tg.num_vertices), np.random.default_rng(7)
+        for noise in (NoiseSpec(kind="break_vertices", p=0.01),
+                      NoiseSpec(kind="break_polygons", p=0.01, split_policy="one_vs_rest")):
+            state = step(tg, state, sample_plan(tg, noise, rng))
+        for tess in tg.tessellations:
+            assert "sizes" not in vars(tess)
+            for block in _flatten(tess).blocks:
+                assert block.amps2 is None and block.conj_amps is block.amps and not any(block.amps.strides)
+                assert np.ndim(block.scale) == np.ndim(block.lone_scale) == 0
+
+    @pytest.mark.parametrize(
+        "noise",
+        [None, NoiseSpec(kind="break_vertices", p=0.01), NoiseSpec(kind="break_vertices", p=0.3)]
+        + [NoiseSpec(kind="break_polygons", p=0.3, split_policy=split) for split in SPLIT_POLICIES],
+        ids=["clean", "vertices_0.01", "vertices_0.3", *SPLIT_POLICIES],
+    )
+    @pytest.mark.parametrize("cover", ["grid_q1", "grid_q3", "partial_q1", "partial_q3", "coined"])
+    def test_uniform_blocks_walk_as_general_blocks_to_the_bit(self, monkeypatch, cover, noise):
+        uniform = SPLIT_COVERS[cover]
+        blocks = [b for tess in uniform.tessellations for b in _flatten(tess).blocks]
+        assert [b.kept_scale is not None for b in blocks] == [b.amps.shape[1] > 1 for b in blocks]
+        assert any(b.kept_scale is not None for b in blocks)
+        monkeypatch.setattr("sqwsim.evolve._one_amplitude", lambda amps, entries: None)
+        general = _split_covers()[cover]
+        assert all(b.kept_scale is None for tess in general.tessellations for b in _flatten(tess).blocks)
+        walks = []
+        for tg in (uniform, general):
+            rng = np.random.default_rng(41)
+            real = rng.normal(size=tg.num_vertices)
+            for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, tg.num_vertices))):
+                for _ in range(8):
+                    state = step(tg, state, None if noise is None else sample_plan(tg, noise, rng))
+                walks.append(state._amps.tobytes())
+        assert walks[:2] == walks[2:]
 
 
 def _polygons_losing_several(plan) -> int:

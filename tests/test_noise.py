@@ -350,6 +350,34 @@ class TestPerturbedStep:
         with pytest.raises(ValueError, match="zero amplitude"):
             Tessellation(np.arange(4), np.array([0, 2, 4]), np.array([1.0, 0.0, 0.6, 0.8]))
 
+    @pytest.mark.parametrize("kind", ["mask", *SPLIT_POLICIES])
+    def test_plan_that_breaks_nothing_walks_the_clean_path(self, kind):
+        # an all-False mask, or a tessellation entry that breaks no polygon,
+        # walked the patched pass, whose renormalized factors put it off the
+        # clean step in the last bits after 3 steps
+        tg = make_grid_of_cliques(GridSpec(5, 1))
+        if kind == "mask":
+            plan = BreakPlan(tg, broken_vertex_mask=np.zeros(tg.num_vertices, dtype=bool))
+        else:
+            none = np.empty(0, dtype=np.int64)
+            lone = None if kind == "singletons" else none
+            plan = BreakPlan(tg, polygon_breaks={1: _TessellationBreaks(broken=none, lone_slot=lone)})
+        assert plan.is_empty and plan.broken_vertex_mask is None and plan.polygon_breaks == {}
+        assert plan.broken_vertices.size == 0
+        state = WalkState(random_state(np.random.default_rng(17), tg.num_vertices))
+        noisy = clean = materialized = state
+        for _ in range(3):
+            noisy, clean = plan_step(plan, noisy), step(tg, clean)
+            materialized = step(apply_plan(tg, plan), materialized)
+        assert noisy._amps.tobytes() == clean._amps.tobytes() == materialized._amps.tobytes()
+
+    def test_plan_carries_its_broken_vertices_ascending(self):
+        tg = make_grid_of_cliques(GridSpec(5, 1))
+        plan = sample_plan(tg, NoiseSpec(kind="break_vertices", p=0.3), np.random.default_rng(3))
+        assert np.array_equal(plan.broken_vertices, np.flatnonzero(plan.broken_vertex_mask))
+        mask = plan.broken_vertex_mask.copy()
+        assert np.array_equal(BreakPlan(tg, broken_vertex_mask=mask).broken_vertices, plan.broken_vertices)
+
     def test_mixed_plan_rejected(self):
         # apply_plan would drop only the vertex, plan_step would let the
         # polygon break replace the broken vertex on tessellation 0
