@@ -2,48 +2,40 @@
 
 Each tessellation T induces the orthogonal reflection
 U_T = 2 * sum_j |P_j><P_j| - I over its polygon states, and one walk step
-applies the tessellations of a cover in index order.  A tessellation is
-compiled into blocks, one per polygon size m: the entries of the block's P
+applies the tessellations of a cover in index order.  The cover is the unit
+of compilation: on its first step in a thread, each of its tessellations is
+compiled over all the cover's vertices into blocks, one per polygon size m,
+kept in one per-thread table keyed weakly by the cover.  A block's P
 polygons form m slots by P polygons, so a reflection costs a few vectorized
-passes per block instead of a Python loop over polygons, with polygon sums
-and per-polygon factors running along the block's rows.  A tessellation
-that is one block over vertices 0..E-1 in polygon order, as the cells of the
-grid of cliques and the coin tessellation of a regular graph are, is read
-and written in place.  Any other tessellation compiles one permutation of
-the vertices below one past its largest (its blocks' entries, then the
-vertices it leaves uncovered) and its inverse: a reflection gathers through
-the one and writes back through the other, with one ``take`` each.  A block
-of two or more polygons whose entries all hold one real amplitude is
-compiled to its shape and that one amplitude, with no per-entry amplitude
-tables.  The grid, its partial covers, the coined covers and every cover
-file give each polygon of size m the amplitude 1/sqrt(m), so each of their
-blocks of two or more polygons is uniform.
+passes per block, with polygon sums and per-polygon factors running along
+its rows.  A tessellation that is one block over vertices 0..E-1 in polygon
+order, as the grid's cells and the coin tessellation of a regular graph
+are, is read and written in place.  Any other compiles one permutation of
+the cover's vertices (its blocks' entries, then every vertex it leaves
+uncovered) and its inverse, through which a reflection gathers and writes
+back with one ``take`` each.  A block of two or more polygons whose entries
+all hold one real amplitude, as every such block of the grid, its partial
+covers, the coined covers and cover files does, is compiled to its shape
+and that amplitude.
 
 Noise detaches entries from their polygons, as a sampled plan handed to
 :func:`step` says: each polygon is reweighted by the squared amplitudes of
 its surviving entries, and a detached entry either leaves the cover (a
-broken vertex) or becomes a singleton polygon (an entry split off a broken
-polygon).  Both kinds of break are patched onto the clean pass: a block
-compiles, on its first break, each polygon's renormalizing factor whole
-(and, on its first one_vs_rest split, with each one entry detached), so a
-break touches only the columns of the polygons that lose entries: a split
-reads their factors from these tables, and the polygons that broken vertices
+broken vertex) or becomes a singleton polygon (split off a broken polygon).
+Both are patched onto the clean pass, touching only the columns of the
+polygons that lose entries: a split reads their factors from tables that a
+block compiles on its first break, and the polygons that broken vertices
 hit are weighed anew, or, in a uniform block, read from a table by the
 number of entries each keeps.  A block writes its split-off entries last,
-and a reflection writes its broken vertices after its blocks, at vertex
-level.  The compiled layout is private to this module.
+and a reflection its broken vertices after its blocks, at vertex level.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
-amplitudes are built only when read.  A tessellation is compiled once per
-thread, in float64 when its amplitudes are real, and reflects a complex
-vector's real and imaginary parts one after the other.  A step looks up its
-cover's layouts once, in a per-thread table keyed weakly by the cover, so a
-small cover's step pays one lookup rather than one per tessellation.
-
-The step loop makes no BLAS call: the unit-norm check that every new state
-passes is an ``einsum`` reduction, which makes no temporary and calls no
-BLAS, so no BLAS helper thread wakes up and spins between steps.
+amplitudes are built only when read.  A real tessellation compiles in
+float64 and reflects a complex vector's real and imaginary parts one after
+the other.  The step loop makes no BLAS call: the unit-norm check of every
+new state is an ``einsum`` reduction, so no BLAS helper thread spins
+between steps.  The compiled layout is private to this module.
 """
 from __future__ import annotations
 
@@ -149,13 +141,12 @@ class _Block:
     """Compiled layout of the polygons of one size m in a tessellation.
 
     Per-entry arrays (``amps``, their conjugates ``conj_amps``, which are
-    ``amps`` itself when real, their squared magnitudes ``amps2``, and the
-    vertex ``index`` of each entry) are (m, P) for the block's P polygons:
-    row j holds slot j of every polygon, so a polygon sum adds m rows of
-    length P and a per-polygon value broadcasts over the rows (a (P, m)
-    block would loop over rows of only m entries).  ``polygons`` lists the
-    block's polygons by their index in the tessellation, and is
-    ``slice(None)`` when the block holds them all.
+    ``amps`` itself when real, and their squared magnitudes ``amps2``) are
+    (m, P) for the block's P polygons: row j holds slot j of every polygon,
+    so a polygon sum adds m rows of length P and a per-polygon value
+    broadcasts over the rows (a (P, m) block would loop over rows of only m
+    entries).  ``polygons`` lists the block's polygons by their index in the
+    tessellation, and is ``slice(None)`` when the block holds them all.
 
     A uniform block, whose entries all hold one real amplitude (see
     :func:`_one_amplitude`), holds that amplitude as a stride-0 (m, P) view
@@ -163,32 +154,23 @@ class _Block:
     k is 2/weight of a polygon that keeps k of its m entries.  Any other
     block holds ``amps`` and ``amps2`` whole, and no ``kept_scale``.
 
-    ``index`` and ``gathered`` are None when the tessellation is this one
-    block over vertices 0..E-1 in polygon order, as for the cells of the grid
-    of cliques: the block then reads and writes a view of the state's
-    leading E entries.  Otherwise they are views of its :class:`_Layout`'s
-    permutation and gathered input, from entry ``offset`` on, and the block
-    writes its result over ``terms``, its view of the per-entry products,
-    once the polygon sums have read them.
+    A block read in place, as the one block of the grid's cells is, has no
+    ``gathered``: it reads and writes a view of the state's leading E
+    entries.  Any other reads ``gathered`` and writes ``terms``, its views
+    of its :class:`_Layout`'s gathered input and per-entry products from
+    entry ``offset`` on, once the polygon sums have read the products.
     ``amps``, ``conj_amps``, ``terms`` and ``gathered`` are float64 when
     every amplitude of the tessellation is real, complex128 otherwise.
     """
 
     polygons: slice | np.ndarray
     offset: int
-    index: np.ndarray | None
     amps: np.ndarray
     conj_amps: np.ndarray
     amps2: np.ndarray | None
     kept_scale: np.ndarray | None
     terms: np.ndarray
     gathered: np.ndarray | None
-
-    def gather(self, arr: np.ndarray) -> np.ndarray:
-        """The block's entries of a per-vertex array, (m, P) (a view when in place)."""
-        if self.index is None:
-            return arr[: self.amps.size].reshape(self.amps.shape[::-1]).T
-        return arr[self.index]
 
     @cached_property
     def scale(self) -> np.ndarray:
@@ -231,7 +213,7 @@ class _Block:
         are these vertices, ascending, for a block read in place, and their
         places in the tessellation's permutation for a gathered one."""
         m, size = self.amps.shape
-        if self.index is None:
+        if self.gathered is None:
             # slot j of column c holds vertex c * m + j
             columns, rows = np.divmod(keys[: np.searchsorted(keys, self.amps.size)], m)
             entries = rows * size + columns
@@ -267,10 +249,9 @@ class _Block:
         others take ``scale``); and the split-off entries as an index of
         the (m, P) arrays, or None for broken vertices, which
         :func:`_reflect` writes itself."""
-        if self.index is None:
-            sv, res = self.gather(vec), self.gather(out)
-        else:
-            sv, res = self.gathered, self.terms
+        sv, res = self.gathered, self.terms
+        if sv is None:
+            sv, res = (_entries(a[: self.amps.size], self.amps.shape, None) for a in (vec, out))
         terms = np.multiply(self.conj_amps, sv, out=self.terms)
         if patch is None:
             factor = _polygon_sums(terms)
@@ -311,16 +292,14 @@ def _inverse_weights(amps2: np.ndarray) -> np.ndarray:
 
 
 class _Layout(NamedTuple):
-    """A compiled tessellation over the vertices below ``size``, one past its
-    largest.  ``perm`` lists the ``covered`` entries of its ``blocks``, in
-    ascending polygon size, and then the vertices it leaves uncovered;
-    ``inverse`` is the place of each vertex in ``perm``.  ``gathered`` and
-    ``terms`` hold a reflection's input and result in ``perm``'s order.
-    Every reflection reuses them, so a step allocates no entry-sized
-    temporaries, and a layout belongs to the thread that compiled it.  All
-    but ``terms`` are None when the one block is read in place."""
+    """A compiled tessellation over all its cover's vertices.  ``perm`` lists
+    the ``covered`` entries of its ``blocks``, by ascending polygon size, then
+    every vertex it leaves uncovered, and ``inverse`` is each vertex's place
+    in it; ``gathered`` and ``terms``, a reflection's input and result in
+    that order, are reused by every reflection, so a layout belongs to the
+    thread that compiled it.  All but ``terms`` are None when the one block
+    is read in place, its tail the vertices from ``covered`` on."""
 
-    size: int
     covered: int
     blocks: tuple[_Block, ...]
     perm: np.ndarray | None
@@ -331,7 +310,6 @@ class _Layout(NamedTuple):
 
 class _Layouts(threading.local):
     def __init__(self):
-        self.by_tess: "WeakKeyDictionary[Tessellation, _Layout]" = WeakKeyDictionary()
         # a cover's layouts and whether its step promotes to complex128; the
         # value holds no reference to the cover, so the weak key can die
         self.by_cover: "WeakKeyDictionary[TessellatedGraph, tuple[tuple[_Layout, ...], bool]]" = WeakKeyDictionary()
@@ -341,17 +319,15 @@ class _Layouts(threading.local):
 _layouts = _Layouts()
 
 
-def _one_amplitude(amps: np.ndarray, entries: np.ndarray) -> np.float64 | None:
-    """The one real amplitude that the (m, P) ``entries`` of a block hold,
-    read from its tessellation's flat amplitudes ``amps`` (without a gather
-    when the block holds them all); None when they differ or are complex.
-    Also None for a one-polygon block: ``_polygon_sums`` adds its one column
-    pairwise from nine entries on, so a weight counted from equal terms
-    added one after another need not match it to the bit."""
-    if amps.dtype != np.float64 or entries.shape[1] < 2:
+def _one_amplitude(amps: np.ndarray) -> np.float64 | None:
+    """The one real amplitude that all the (m, P) entries ``amps`` of a
+    block hold; None when they differ or are complex.  Also None for a
+    one-polygon block: ``_polygon_sums`` adds its one column pairwise from
+    nine entries on, so a weight counted from equal terms added one after
+    another need not match it to the bit."""
+    if amps.dtype != np.float64 or amps.shape[1] < 2:
         return None
-    one = amps[entries[0, 0]]
-    return one if ((amps if entries.size == amps.size else amps[entries]) == one).all() else None
+    return amps[0, 0] if (amps == amps[0, 0]).all() else None
 
 
 def _kept_scale(amp: np.float64, m: int) -> np.ndarray:
@@ -365,55 +341,68 @@ def _kept_scale(amp: np.float64, m: int) -> np.ndarray:
     return scale
 
 
-def _flatten(tess: Tessellation) -> _Layout:
-    """The layout of ``tess``, compiled once per thread: one block per
-    polygon size, each holding its polygons in tessellation order, float64
-    when every amplitude of ``tess`` is real and complex128 otherwise.
-    ``Tessellation`` refuses any entry with |a|^2 below the least normal
-    float, so each block a plan leaves has a finite renormalizing factor."""
-    layout = _layouts.by_tess.get(tess)
-    if layout is not None:
-        return layout
+def _entries(flat: np.ndarray, shape: tuple[int, int], index: np.ndarray | None) -> np.ndarray:
+    """A block's (m, P) entries of a flat per-entry array: gathered through
+    its (m, P) entry ``index``, or a view when the block is every polygon of
+    one size m, polygon c holding entries c*m..c*m+m-1 (``index`` None)."""
+    return flat.reshape(shape[::-1]).T if index is None else flat[index]
+
+
+def _flatten(tess: Tessellation, num_vertices: int) -> _Layout:
+    """The layout of ``tess`` over the ``num_vertices`` vertices of its
+    cover: one block per polygon size, each holding its polygons in
+    tessellation order, float64 when every amplitude of ``tess`` is real
+    and complex128 otherwise; only what it keeps is copied.  ``Tessellation``
+    refuses any entry with |a|^2 below the least normal float, so each
+    block a plan leaves has a finite renormalizing factor."""
     vertices, amps, starts = tess.vertices, tess.amplitudes, tess.starts
     if not amps.imag.any():
-        amps = np.ascontiguousarray(amps.real)
-    uniform_size = tess._uniform_size
-    if uniform_size is not None:
-        distinct, groups = [uniform_size], [slice(None)]
+        amps = amps.real
+    covered, m = vertices.size, tess._uniform_size
+    if m is not None:
+        groups = [(slice(None), (m, starts.size - 1), None)]
     else:
-        sizes = tess.sizes
-        distinct = _sorted_distinct(sizes).tolist()
-        groups = [np.flatnonzero(sizes == m) for m in distinct]
-    entries = [starts[:-1][polygons] + np.arange(m)[:, None] for m, polygons in zip(distinct, groups)]
-    size = int(vertices.max()) + 1 if vertices.size else 0
+        groups = []
+        for size in _sorted_distinct(tess.sizes).tolist():
+            polygons = np.flatnonzero(tess.sizes == size)
+            groups.append((polygons, (size, polygons.size), starts[:-1][polygons] + np.arange(size)[:, None]))
+    # The vertices are distinct and non-negative, so they are 0..E-1 in
+    # polygon order exactly when they ascend strictly up to E - 1.
+    in_place = covered == 0 or (
+        m is not None and vertices[-1] == covered - 1 and bool((vertices[1:] > vertices[:-1]).all()))
     perm = inverse = gathered = None
-    if len(distinct) > 1 or not np.array_equal(vertices, np.arange(size)):
-        uncovered = np.ones(size, dtype=bool)
+    if not in_place:
+        perm = np.empty(num_vertices, dtype=np.intp)
+        uncovered = np.ones(num_vertices, dtype=bool)
         uncovered[vertices] = False
-        perm = np.concatenate([vertices[e].reshape(-1) for e in entries] + [np.flatnonzero(uncovered)])
-        inverse = np.empty_like(perm)
-        inverse[perm] = np.arange(size)
-        gathered = np.empty(size, dtype=amps.dtype)
-    terms = np.empty(size, dtype=amps.dtype)
+        perm[covered:] = np.flatnonzero(uncovered)
+        gathered = np.empty(num_vertices, dtype=amps.dtype)
+    terms = np.empty(covered if in_place else num_vertices, dtype=amps.dtype)
     blocks, offset = [], 0
-    for polygons, e in zip(groups, entries):
-        at = slice(offset, offset + e.size)
-        index, terms_at, gathered_at = (None if a is None else a[at].reshape(e.shape) for a in (perm, terms, gathered))
-        one = _one_amplitude(amps, e)
+    for polygons, shape, index in groups:
+        at = slice(offset, offset + shape[0] * shape[1])
+        if perm is not None:
+            perm[at].reshape(shape)[...] = _entries(vertices, shape, index)
+        block_amps = _entries(amps, shape, index)
+        one = _one_amplitude(block_amps)
         if one is None:
-            block_amps = amps[e]
+            # C-ordered, so that _polygon_sums adds amps2 row by row
+            block_amps = np.ascontiguousarray(block_amps)
             block_amps2, kept_scale = block_amps.real**2 + block_amps.imag**2, None
         else:
-            block_amps = np.broadcast_to(one, e.shape)
-            block_amps2, kept_scale = None, _kept_scale(one, e.shape[0])
+            block_amps = np.broadcast_to(one, shape)
+            block_amps2, kept_scale = None, _kept_scale(one, shape[0])
         blocks.append(_Block(
-            polygons=polygons, offset=offset, index=index, amps=block_amps,
+            polygons=polygons, offset=offset, amps=block_amps,
             conj_amps=block_amps if amps.dtype == np.float64 else np.conj(block_amps),
-            amps2=block_amps2, kept_scale=kept_scale, terms=terms_at, gathered=gathered_at,
+            amps2=block_amps2, kept_scale=kept_scale, terms=terms[at].reshape(shape),
+            gathered=None if gathered is None else gathered[at].reshape(shape),
         ))
-        offset += e.size
-    layout = _layouts.by_tess[tess] = _Layout(size, offset, tuple(blocks), perm, inverse, gathered, terms)
-    return layout
+        offset = at.stop
+    if perm is not None:
+        inverse = np.empty_like(perm)
+        inverse[perm] = np.arange(num_vertices)
+    return _Layout(covered, tuple(blocks), perm, inverse, gathered, terms)
 
 
 def _compiled(tg: TessellatedGraph) -> tuple[tuple[_Layout, ...], bool]:
@@ -422,7 +411,7 @@ def _compiled(tg: TessellatedGraph) -> tuple[tuple[_Layout, ...], bool]:
     and built once per thread and cover."""
     compiled = _layouts.by_cover.get(tg)
     if compiled is None:
-        layouts = tuple(_flatten(tess) for tess in tg.tessellations)
+        layouts = tuple(_flatten(tess, tg.num_vertices) for tess in tg.tessellations)
         compiled = (layouts, any(layout.terms.dtype == np.complex128 for layout in layouts))
         _layouts.by_cover[tg] = compiled
     return compiled
@@ -445,30 +434,30 @@ def _reflect(layout: _Layout, vec: np.ndarray, out: np.ndarray,
     singleton polygon and picks up +1.  A real layout reflects the real and
     imaginary parts of a complex vector one after the other.
     """
-    size, covered, blocks, perm, inverse, gathered, terms = layout
+    covered, blocks, perm, inverse, gathered, terms = layout
     if vec.dtype != terms.dtype:
         for part in ("real", "imag"):
             _reflect(layout, getattr(vec, part), getattr(out, part), broken, breaks)
         return out
-    if size != vec.size:
-        np.negative(vec[size:], out=out[size:])
-    if perm is not None:
+    if perm is None:
+        src, dst, keys = vec, out, broken
+    else:
         # Every caller has checked the state size against the cover, so the
         # indices are in range; "clip" spares take its bounds-check buffer.
         vec.take(perm, out=gathered, mode="clip")
-    if broken is not None and perm is not None:
-        broken_keys = inverse.take(broken[: np.searchsorted(broken, size)])
+        src, dst, keys = gathered, terms, None if broken is None else inverse.take(broken)
+    if covered != src.size:
+        # the vertices that no polygon covers pick up -I
+        np.negative(src[covered:], out=dst[covered:])
     for block in blocks:
         patch = None
         if breaks is not None:
             patch = block.split(breaks.broken, breaks.lone_slot)
         elif broken is not None:
-            patch = block.lost(broken if perm is None else broken_keys)
+            patch = block.lost(keys)
         block.reflect(vec, out, patch)
     if perm is not None:
-        if covered != size:
-            np.negative(gathered[covered:], out=terms[covered:])
-        terms.take(inverse, out=out[:size], mode="clip")
+        terms.take(inverse, out=out, mode="clip")
     if broken is not None:
         # a broken vertex leaves the cover and picks up -I
         out[broken] = -vec[broken]

@@ -80,6 +80,14 @@ class _TessellationBreaks:
     lone_slot: np.ndarray | None
 
 
+def _read_only(arr: np.ndarray | None, dtype: type = np.intp) -> np.ndarray | None:
+    """A read-only copy of ``arr`` in ``dtype``; None for None."""
+    if arr is not None:
+        arr = arr.astype(dtype)
+        arr.setflags(write=False)
+    return arr
+
+
 #: The broken vertices of a plan that breaks none.
 _NO_VERTICES = np.empty(0, dtype=np.intp)
 _NO_VERTICES.setflags(write=False)
@@ -98,7 +106,8 @@ class BreakPlan:
     :func:`plan_step` and :func:`sqwsim.oracle.apply_plan` read it alike:
     each ``polygon_breaks`` key is a tessellation of the cover, and its
     ``broken`` polygons are ascending distinct indices into that
-    tessellation with, under one_vs_rest, a ``lone_slot`` inside each.  The
+    tessellation with, under one_vs_rest, a ``lone_slot`` inside each; it
+    keeps read-only copies of them, as ``np.intp``, and of the mask.  The
     plans :func:`sample_plan` draws skip the check.
     """
 
@@ -113,7 +122,7 @@ class BreakPlan:
             raise ValueError("a plan breaks either vertices or polygons, not both")
         if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.shape == shape):
             raise ValueError(f"broken_vertex_mask must be a bool array of shape {shape}")
-        tessellations = self.cover.tessellations
+        tessellations, polygon_breaks = self.cover.tessellations, {}
         for key, tb in self.polygon_breaks.items():
             t_idx = _as_index(key, "polygon_breaks key")
             if not 0 <= t_idx < len(tessellations):
@@ -129,11 +138,12 @@ class BreakPlan:
                     and np.all((lone >= 0) & (lone < sizes[broken]))):
                 raise ValueError(f"lone slots of tessellation {t_idx} must be an integer array, one slot "
                                  f"per broken polygon, each in [0, polygon size)")
+            if broken.size:
+                polygon_breaks[t_idx] = _TessellationBreaks(_read_only(broken), _read_only(lone))
         broken = _NO_VERTICES if mask is None else mask.nonzero()[0]
-        object.__setattr__(self, "broken_vertex_mask", mask if broken.size else None)
+        object.__setattr__(self, "broken_vertex_mask", _read_only(mask, np.bool_) if broken.size else None)
         object.__setattr__(self, "broken_vertices", broken)
-        object.__setattr__(self, "polygon_breaks",
-                           {key: tb for key, tb in self.polygon_breaks.items() if tb.broken.size})
+        object.__setattr__(self, "polygon_breaks", polygon_breaks)
 
     @classmethod
     def _sampled(cls, cover: TessellatedGraph, broken_vertex_mask: np.ndarray | None = None,

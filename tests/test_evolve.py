@@ -1,6 +1,7 @@
 import gc
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -153,39 +154,53 @@ def _mixed_sizes(order: str) -> tuple[Tessellation, np.ndarray, list[int]]:
     return tessellation_of(tuple(Polygon.uniform(verts[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))), verts, bounds
 
 
-def _gathered_case(case: str) -> tuple[Tessellation, list[int]]:
-    """A tessellation that compiles to a permutation, and the vertices below
-    its largest that it leaves uncovered."""
+def _gathered_case(case: str) -> tuple[Tessellation, int, list[int]]:
+    """A tessellation that compiles to a permutation, the number of vertices
+    of the cover it is laid out over, and the vertices it leaves uncovered."""
     if case == "grid_links":
-        return make_grid_of_cliques(GridSpec(3, 2)).tessellations[1], []
+        return make_grid_of_cliques(GridSpec(3, 2)).tessellations[1], 72, []
     if case == "partial_cells":
         # the marked cell (1, 1) holds vertices 16..19
-        return partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1)).tessellations[0], [16, 17, 18, 19]
+        return partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1)).tessellations[0], 36, [16, 17, 18, 19]
     if case == "skipping":
+        # uncovered: 1 and 4 below the largest vertex, and 7 and 8 above it
         polygons = (Polygon.uniform([6, 2]), Polygon.uniform([0]), Polygon.uniform([5, 3]))
-        return tessellation_of(polygons), [1, 4]
-    return _mixed_sizes(case.removeprefix("mixed_"))[0], []
+        return tessellation_of(polygons), 9, [1, 4, 7, 8]
+    return _mixed_sizes(case.removeprefix("mixed_"))[0], 12, []
+
+
+def _block_vertices(layout, block) -> np.ndarray:
+    """The vertex of each entry of a compiled block, (m, P): a block read in
+    place holds vertices 0..E-1 in polygon order, and a gathered one the
+    stretch of its layout's permutation from ``offset`` on."""
+    if block.gathered is None:
+        return np.arange(block.amps.size).reshape(block.amps.shape[::-1]).T.copy()
+    return layout.perm[block.offset : block.offset + block.amps.size].reshape(block.amps.shape)
+
+
+def _layouts_of(tg: TessellatedGraph) -> tuple:
+    """The layouts that a step of ``tg`` walks in this thread."""
+    return _compiled(tg)[0]
 
 
 class TestCompiledLayout:
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_grid_tessellations_are_blocks_cells_in_place(self, q):
-        spec = GridSpec(3, q)
-        (cells,), (links,) = (_flatten(t).blocks for t in make_grid_of_cliques(spec).tessellations)
-        assert cells.amps.shape == (4 * q, 9) and cells.index is None
-        assert links.amps.shape == (2 * q, 18) and links.index is not None
+        (cells,), (links,) = (layout.blocks for layout in _layouts_of(make_grid_of_cliques(GridSpec(3, q))))
+        assert cells.amps.shape == (4 * q, 9) and cells.gathered is None
+        assert links.amps.shape == (2 * q, 18) and links.gathered is not None
 
     def test_partial_cover_keeps_a_gathered_block(self):
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (1, 1))
-        layout = _flatten(tg.tessellations[0])
+        layout = _layouts_of(tg)[0]
         (block,) = layout.blocks
-        assert (layout.size, layout.covered) == (36, 32)
-        assert block.amps.shape == (4, 8) and block.index is not None
+        assert (layout.perm.size, layout.covered) == (36, 32)
+        assert block.amps.shape == (4, 8) and block.gathered is not None
 
     def test_coin_tessellation_of_a_regular_graph_is_an_in_place_block(self):
         cycle = SimpleGraph(5, frozenset((v, (v + 1) % 5) for v in range(5)))
-        (coin,), (shift,) = (_flatten(t).blocks for t in coined_to_staggered(cycle)[0].tessellations)
-        assert coin.amps.shape == (2, 5) and coin.index is None
+        (coin,), (shift,) = (layout.blocks for layout in _layouts_of(coined_to_staggered(cycle)[0]))
+        assert coin.amps.shape == (2, 5) and coin.gathered is None
         assert shift.amps.shape == (2, 5)
 
     @pytest.mark.parametrize("order", ["permuted", "in_order"])
@@ -193,60 +208,73 @@ class TestCompiledLayout:
         # polygons of sizes 3, 1, 2, 3, 1, 2: one gathered block per size, in
         # ascending size, even over vertices 0..E-1 in polygon order
         tess, verts, bounds = _mixed_sizes(order)
-        layout = _flatten(tess)
-        assert layout.size == layout.covered == 12
+        layout = _flatten(tess, 12)
+        assert layout.perm.size == layout.covered == 12
         assert [block.amps.shape for block in layout.blocks] == [(1, 2), (2, 2), (3, 2)]
         assert sorted(np.concatenate([block.polygons for block in layout.blocks]).tolist()) == list(range(6))
         for block in layout.blocks:
-            assert block.index is not None
+            assert block.gathered is not None
+            vertices = _block_vertices(layout, block)
             for column, j in enumerate(block.polygons):
-                assert block.index[:, column].tolist() == verts[bounds[j] : bounds[j + 1]].tolist()
+                assert vertices[:, column].tolist() == verts[bounds[j] : bounds[j + 1]].tolist()
 
     @pytest.mark.parametrize("case", ["grid_links", "partial_cells", "mixed_permuted", "mixed_in_order", "skipping"])
     def test_permutation_and_its_inverse_undo_each_other(self, case):
-        # a gathered tessellation reads the vertices below one past its
-        # largest in one permutation: its blocks' entries, block by block, and
-        # then the vertices it leaves uncovered
-        tess, uncovered = _gathered_case(case)
-        layout = _flatten(tess)
-        everything = np.arange(layout.size)
-        assert layout.size == int(tess.vertices.max()) + 1
+        # a gathered tessellation reads all the vertices of its cover in one
+        # permutation: its blocks' entries, block by block, and then every
+        # vertex it leaves uncovered, above its largest too
+        tess, num_vertices, uncovered = _gathered_case(case)
+        layout = _flatten(tess, num_vertices)
+        everything = np.arange(num_vertices)
         assert np.array_equal(layout.perm[layout.inverse], everything)
         assert np.array_equal(layout.inverse[layout.perm], everything)
         assert layout.perm[layout.covered :].tolist() == uncovered
-        assert layout.covered == tess.vertices.size == layout.size - len(uncovered)
+        assert layout.covered == tess.vertices.size == num_vertices - len(uncovered)
+        assert layout.gathered.size == layout.terms.size == num_vertices
         offset = 0
         for block in layout.blocks:
             assert block.offset == offset
-            assert np.array_equal(block.index.reshape(-1), layout.perm[offset : offset + block.amps.size])
             assert np.shares_memory(block.gathered, layout.gathered) and np.shares_memory(block.terms, layout.terms)
             offset += block.amps.size
         assert offset == layout.covered
 
     def test_tessellation_skipping_a_vertex_reflects_as_the_dense_matrix(self):
         # vertices 1 and 4 below the largest, and 7 and 8 above it, are uncovered
-        tess, _ = _gathered_case("skipping")
-        state = WalkState(random_state(np.random.default_rng(12), 9))
-        expected = _dense_reflection(tess, 9) @ state.amplitudes
+        tess, num_vertices, _ = _gathered_case("skipping")
+        state = WalkState(random_state(np.random.default_rng(12), num_vertices))
+        expected = _dense_reflection(tess, num_vertices) @ state.amplitudes
         np.testing.assert_allclose(reflect(tess, state).amplitudes, expected, atol=1e-15)
 
     def test_in_place_tessellation_stopping_below_the_cover_reflects_as_the_dense_matrix(self):
         # the last cell's vertices 32..35 follow the in-place block and pick up -I
         tess = partial_cover(make_grid_of_cliques(GridSpec(3, 1)), (2, 2)).tessellations[0]
-        layout = _flatten(tess)
-        assert (layout.size, layout.perm) == (32, None)
+        layout = _flatten(tess, 36)
+        assert (layout.covered, layout.terms.size, layout.perm) == (32, 32, None)
         for state in (WalkState(random_state(np.random.default_rng(13), 36)), uniform_state(36)):
             expected = _dense_reflection(tess, 36) @ state.amplitudes
             np.testing.assert_allclose(reflect(tess, state).amplitudes, expected, atol=1e-15)
 
+    def test_empty_tessellation_is_a_layout_of_no_block(self):
+        # it covers nothing, so every vertex picks up -I, broken or not
+        layout = _flatten(tessellation_of(()), 5)
+        assert (layout.covered, layout.blocks, layout.perm, layout.terms.size) == (0, (), None, 0)
+        tg = TessellatedGraph(SimpleGraph(5), (tessellation_of(()),))
+        rng = np.random.default_rng(14)
+        mask = np.arange(5) % 2 == 0
+        real = rng.normal(size=5)
+        for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, 5))):
+            for plan in (None, BreakPlan(tg, broken_vertex_mask=mask)):
+                assert step(tg, state, plan)._amps.tobytes() == (-state._amps).tobytes()
+
     def test_step_looks_up_a_cover_once_per_thread(self):
-        # one table entry per cover and thread holds the tessellations'
-        # layouts; it must not keep the cover alive
+        # the one table holds a cover's layouts, one entry per cover and
+        # thread; it must not keep the cover alive
+        assert list(vars(_layouts)) == ["by_cover"]
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
         step(tg, uniform_state(tg.num_vertices))
         layouts, promote = _layouts.by_cover[tg]
         assert not promote and _compiled(tg) is _layouts.by_cover[tg]
-        assert all(layout is _flatten(tess) for layout, tess in zip(layouts, tg.tessellations, strict=True))
+        assert len(layouts) == tg.num_tessellations
         with ThreadPoolExecutor(max_workers=1) as pool:
             theirs, _ = pool.submit(_compiled, tg).result(timeout=60)
         assert all(a is not b for a, b in zip(layouts, theirs, strict=True))
@@ -258,11 +286,52 @@ class TestCompiledLayout:
         gc.collect()
         assert cover() is None
 
+    def test_covers_sharing_a_tessellation_compile_their_own_layouts(self):
+        # the grid and its partial cover share the link tessellation; each
+        # cover lays it out, and the partial cover walks the same bytes
+        # whether or not the grid stepped first in the thread
+        grid = make_grid_of_cliques(GridSpec(4, 2))
+        partial = partial_cover(grid, (3, 3))
+        assert partial.tessellations[1] is grid.tessellations[1]
+        start = WalkState(random_state(np.random.default_rng(15), grid.num_vertices))
+        noise = NoiseSpec(kind="break_vertices", p=0.2)
+
+        def walk(grid_first: bool) -> bytes:
+            if grid_first:
+                step(grid, step(grid, start), sample_plan(grid, noise, np.random.default_rng(16)))
+            rng, state = np.random.default_rng(17), start
+            for _ in range(4):
+                state = step(partial, state, sample_plan(partial, noise, rng))
+            assert _layouts_of(partial)[1] is not _compiled(grid)[0][1]
+            return state._amps.tobytes()
+
+        walks = []
+        for grid_first in (False, True, False):
+            # each pool's one thread starts with an empty table
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                walks.append(pool.submit(walk, grid_first).result(timeout=60))
+        assert walks[0] == walks[1] == walks[2]
+
+    def test_compiling_the_grid_cells_copies_no_more_than_it_keeps(self):
+        # the in-place cell block keeps only its products' scratch and its
+        # kept-count table: compiling builds no entry index and no copy of
+        # the amplitudes
+        tess = make_grid_of_cliques(GridSpec(100, 1)).tessellations[0]
+        tess._uniform_size
+        tracemalloc.start()
+        try:
+            layout = _flatten(tess, 40_000)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layout.perm is None and kept >= layout.terms.nbytes
+        assert peak <= 1.25 * kept
+
     def test_real_blocks_share_their_amplitudes_as_conjugates(self):
-        for tess in partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1)).tessellations:
-            assert all(b.conj_amps is b.amps for b in _flatten(tess).blocks)
+        for layout in _layouts_of(partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))):
+            assert all(b.conj_amps is b.amps for b in layout.blocks)
         tess = tessellation_of((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
-        for b in _flatten(tess).blocks:
+        for b in _flatten(tess, 3).blocks:
             assert b.conj_amps is not b.amps and np.array_equal(b.conj_amps, np.conj(b.amps))
 
     def test_scratch_reuse_leaves_returned_states_alone(self):
@@ -283,7 +352,7 @@ class TestCompiledLayout:
             assert state.amplitudes.tobytes() == copy.tobytes()
         arrays = [s.amplitudes for s in states] + [s._amps for s in states if s._amps.dtype == np.float64]
         assert len(arrays) == len(states) + 4
-        layouts = [_flatten(tess) for tess in tg.tessellations]
+        layouts = _layouts_of(tg)
         assert all(layout.gathered is not None for layout in layouts)
         for layout in layouts:
             scratch = [layout.terms, layout.gathered]
@@ -294,16 +363,16 @@ class TestCompiledLayout:
     def test_real_tessellation_has_one_float64_layout(self):
         # complex and real states walk the same compiled layout
         tg = partial_cover(make_grid_of_cliques(GridSpec(3, 2)), (0, 1))
-        layouts = [_flatten(tess) for tess in tg.tessellations]
+        layouts = _layouts_of(tg)
         assert all(b.amps.dtype == b.terms.dtype == np.float64 for layout in layouts for b in layout.blocks)
         rng = np.random.default_rng(9)
         step(tg, WalkState(random_state(rng, tg.num_vertices)))
         step(tg, uniform_state(tg.num_vertices))
-        assert all(_flatten(tess) is layout for tess, layout in zip(tg.tessellations, layouts))
+        assert all(a is b for a, b in zip(_layouts_of(tg), layouts, strict=True))
 
     def test_complex_tessellation_has_a_complex_layout(self):
         tess = tessellation_of((Polygon(np.array([0, 1]), np.array([0.6, 0.8j])), Polygon.uniform([2])))
-        assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess).blocks)
+        assert all(b.amps.dtype == b.terms.dtype == np.complex128 for b in _flatten(tess, 3).blocks)
 
     def test_threads_stepping_one_cover_match_their_serial_walks(self):
         # each thread compiles its own layout, so no thread writes into the
@@ -337,7 +406,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
     entry gets +sv, a broken vertex -sv, each written by its ufunc, which
     keeps the sign of a zero (a product with ±1.0 may not)."""
     vec = state._amps
-    layouts = [_flatten(tess) for tess in plan.cover.tessellations]
+    layouts = _layouts_of(plan.cover)
     if any(block.amps.dtype == np.complex128 for layout in layouts for block in layout.blocks):
         vec = vec.astype(np.complex128)
     vertex_mask = plan.broken_vertex_mask
@@ -351,10 +420,11 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
         elif vertex_mask is not None:
             split = vertex_mask
         for block in layout.blocks:
-            drop = np.ascontiguousarray(block.gather(split))
+            vertices = _block_vertices(layout, block)
+            drop = split[vertices]
             parts = [(vec, out)] if vec.dtype == block.amps.dtype else [(vec.real, out.real), (vec.imag, out.imag)]
             for v, o in parts:
-                sv = block.gather(v)
+                sv = v[vertices]
                 terms = np.multiply(block.conj_amps, sv, out=np.empty_like(block.terms))
                 if breaks is None and vertex_mask is None:
                     factor = 2.0 * _polygon_sums(terms)
@@ -366,10 +436,7 @@ def _dense_split_step(plan, state: WalkState) -> np.ndarray:
                     factor = _polygon_sums(terms) * scale
                 res = factor * block.amps - sv
                 np.copyto(res, sign(sv), where=drop)
-                if block.index is None:
-                    block.gather(o)[...] = res
-                else:
-                    o[block.index] = res
+                o[vertices] = res
         vec = out
     return vec
 
@@ -423,7 +490,7 @@ class TestSplitPatch:
         # a one-column block sums its polygon pairwise from nine entries on,
         # which the weights of a polygon that broken vertices hit must match
         for cover in ("ragged_real", "ragged_complex", "ragged_complex3"):
-            blocks = [b for tess in SPLIT_COVERS[cover].tessellations for b in _flatten(tess).blocks]
+            blocks = [b for layout in _layouts_of(SPLIT_COVERS[cover]) for b in layout.blocks]
             assert any(b.amps.shape[1] == 1 and b.amps.shape[0] >= 9 for b in blocks), cover
 
     @pytest.mark.parametrize("p", [0.01, 0.1, 1.0])
@@ -502,7 +569,7 @@ class TestUniformBlock:
     def test_one_polygon_block_keeps_its_amplitudes(self):
         # its one column sums pairwise from nine entries on, which a table of
         # sums one after another does not match
-        (block,) = _flatten(tessellation_of((Polygon.uniform(range(9)),))).blocks
+        (block,) = _flatten(tessellation_of((Polygon.uniform(range(9)),)), 9).blocks
         assert block.kept_scale is None and block.amps2.shape == (9, 1)
 
     def test_grid_blocks_own_no_per_entry_amplitudes(self):
@@ -511,9 +578,9 @@ class TestUniformBlock:
         for noise in (NoiseSpec(kind="break_vertices", p=0.01),
                       NoiseSpec(kind="break_polygons", p=0.01, split_policy="one_vs_rest")):
             state = step(tg, state, sample_plan(tg, noise, rng))
-        for tess in tg.tessellations:
+        for tess, layout in zip(tg.tessellations, _layouts_of(tg), strict=True):
             assert "sizes" not in vars(tess)
-            for block in _flatten(tess).blocks:
+            for block in layout.blocks:
                 assert block.amps2 is None and block.conj_amps is block.amps and not any(block.amps.strides)
                 assert np.ndim(block.scale) == np.ndim(block.lone_scale) == 0
 
@@ -526,12 +593,12 @@ class TestUniformBlock:
     @pytest.mark.parametrize("cover", ["grid_q1", "grid_q3", "partial_q1", "partial_q3", "coined"])
     def test_uniform_blocks_walk_as_general_blocks_to_the_bit(self, monkeypatch, cover, noise):
         uniform = SPLIT_COVERS[cover]
-        blocks = [b for tess in uniform.tessellations for b in _flatten(tess).blocks]
+        blocks = [b for layout in _layouts_of(uniform) for b in layout.blocks]
         assert [b.kept_scale is not None for b in blocks] == [b.amps.shape[1] > 1 for b in blocks]
         assert any(b.kept_scale is not None for b in blocks)
-        monkeypatch.setattr("sqwsim.evolve._one_amplitude", lambda amps, entries: None)
+        monkeypatch.setattr("sqwsim.evolve._one_amplitude", lambda amps: None)
         general = _split_covers()[cover]
-        assert all(b.kept_scale is None for tess in general.tessellations for b in _flatten(tess).blocks)
+        assert all(b.kept_scale is None for layout in _layouts_of(general) for b in layout.blocks)
         walks = []
         for tg in (uniform, general):
             rng = np.random.default_rng(41)
@@ -646,6 +713,53 @@ class TestStep:
         before = state.amplitudes.copy()
         step(tg, state)
         np.testing.assert_array_equal(state.amplitudes, before)
+
+
+def _reversed_plan(reversed_tg: TessellatedGraph, plan) -> BreakPlan:
+    """``plan`` on the cover of the same tessellations in reverse order:
+    tessellation t's polygon breaks belong to tessellation T - 1 - t."""
+    last = reversed_tg.num_tessellations - 1
+    return BreakPlan(reversed_tg, broken_vertex_mask=plan.broken_vertex_mask,
+                     polygon_breaks={last - t: breaks for t, breaks in plan.polygon_breaks.items()})
+
+
+class TestTimeReversal:
+    """Every reflection, clean or perturbed, is its own inverse, so a step of
+    the reversed cover under the same plan undoes a step: a check of the
+    compiled layouts at workload size, where no dense oracle reaches."""
+
+    @pytest.mark.parametrize(
+        "noise",
+        [None, NoiseSpec(kind="break_vertices", p=0.1)]
+        + [NoiseSpec(kind="break_polygons", p=0.1, split_policy=split) for split in SPLIT_POLICIES],
+        ids=["clean", "vertices", *SPLIT_POLICIES],
+    )
+    @pytest.mark.parametrize(
+        "case",
+        [((100, 1), None, (0, 0)), ((100, 3), None, (0, 0)),
+         # tessellation 0 gathered; and read in place, with the marked cell
+         # after it as its tail
+         ((20, 2), (3, 4), (3, 3)), ((20, 2), (19, 19), (19, 18))],
+        ids=["grid_100_1", "grid_100_3", "partial_20_2_at_3_4", "partial_20_2_at_19_19"],
+    )
+    def test_the_reversed_cover_walks_back_to_the_start(self, case, noise):
+        (n, q), marked, at = case
+        spec = GridSpec(n, q)
+        tg = make_grid_of_cliques(spec)
+        if marked is not None:
+            tg = partial_cover(tg, marked)
+        reversed_tg = TessellatedGraph(tg.graph, tg.tessellations[::-1])
+        start = localized_clique_state(spec, *at)
+        rng = np.random.default_rng(51)
+        plans, state = [], start
+        for _ in range(20):
+            plans.append(None if noise is None else sample_plan(tg, noise, rng))
+            state = step(tg, state, plans[-1])
+        moved = np.linalg.norm(state._amps - start._amps)
+        for plan in reversed(plans):
+            state = step(reversed_tg, state, None if plan is None else _reversed_plan(reversed_tg, plan))
+        assert moved > 0.5
+        assert np.max(np.abs(state._amps - start._amps)) < 1e-13
 
 
 class TestRenormGuard:

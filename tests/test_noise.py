@@ -450,6 +450,40 @@ class TestPerturbedStep:
         np.testing.assert_allclose(
             plan_step(plan, state).amplitudes, step(apply_plan(tg, plan), state).amplitudes, atol=1e-13)
 
+    @pytest.mark.parametrize("dtype", sorted({np.dtype(c) for c in np.typecodes["AllInteger"]}, key=str), ids=str)
+    def test_caller_plan_of_any_integer_dtype_walks_as_the_materialized_route(self, dtype):
+        # a lone slot's entry index, slot * P + polygon, overflowed a narrow
+        # dtype: 3 * 100 + 90 in int8 and uint8, 1 * 20000 + 15000 in int16
+        cases = [(GridSpec(10, 1), 0, [90, 95], [3, 2]), (GridSpec(100, 1), 1, [15000, 19999], [1, 0])]
+        rng = np.random.default_rng(19)
+        for spec, t_idx, broken, lone in cases:
+            if np.iinfo(dtype).max < max(broken):
+                continue
+            tg = make_grid_of_cliques(spec)
+            state = WalkState(random_state(rng, tg.num_vertices))
+            for lone_slot in (None, np.array(lone, dtype=dtype)):
+                plan = BreakPlan(tg, polygon_breaks={
+                    t_idx: _TessellationBreaks(broken=np.array(broken, dtype=dtype), lone_slot=lone_slot)})
+                np.testing.assert_allclose(
+                    plan_step(plan, state).amplitudes, step(apply_plan(tg, plan), state).amplitudes, atol=1e-15)
+
+    def test_caller_plan_keeps_read_only_copies_of_its_arrays(self):
+        # writing lone slots past the polygon size after the check made the
+        # step raise IndexError
+        tg = make_grid_of_cliques(GridSpec(3, 1))
+        state = WalkState(random_state(np.random.default_rng(20), tg.num_vertices))
+        broken, lone, mask = np.array([0, 4], dtype=np.int32), np.array([3, 0], dtype=np.uint8), np.arange(36) == 5
+        plans = [BreakPlan(tg, polygon_breaks={0: _TessellationBreaks(broken=broken, lone_slot=lone)}),
+                 BreakPlan(tg, broken_vertex_mask=mask)]
+        walked = [plan_step(plan, state)._amps.tobytes() for plan in plans]
+        broken[:], lone[:], mask[:] = [7, 8], [9, 9], True
+        assert [plan_step(plan, state)._amps.tobytes() for plan in plans] == walked
+        kept = plans[0].polygon_breaks[0]
+        for arr in (kept.broken, kept.lone_slot):
+            assert arr.dtype == np.intp and not arr.flags.writeable
+        assert kept.broken.tolist() == [0, 4] and kept.lone_slot.tolist() == [3, 0]
+        assert not plans[1].broken_vertex_mask.flags.writeable and plans[1].broken_vertices.tolist() == [5]
+
     def test_sampler_skips_the_plan_check(self, monkeypatch):
         # sample_plan's plans hold the checked properties by construction, so
         # it builds them without the check
