@@ -23,11 +23,11 @@ Noise detaches entries from their polygons, as a sampled plan handed to
 its surviving entries, and a detached entry either leaves the cover (a
 broken vertex) or becomes a singleton polygon (split off a broken polygon).
 Both are patched onto the clean pass, touching only the columns of the
-polygons that lose entries: a split reads their factors from tables that a
-block compiles on its first break, and the polygons that broken vertices
-hit are weighed anew, or, in a uniform block, read from a table by the
-number of entries each keeps.  A block writes its split-off entries last,
-and a reflection its broken vertices after its blocks, at vertex level.
+polygons that lose entries, and both weigh such a polygon by one rule: a
+uniform block reads its factor from a table by the number of entries the
+polygon keeps, and any other block weighs it anew.  A block writes its
+split-off entries last, and a reflection its broken vertices after its
+blocks, at vertex level.
 
 A real reflection, broken or not, keeps a real vector real, so a real state
 holds one float64 buffer, which steps walk and observables read; complex
@@ -152,7 +152,9 @@ class _Block:
     :func:`_one_amplitude`), holds that amplitude as a stride-0 (m, P) view
     for ``amps`` and ``conj_amps``, no ``amps2``, and ``kept_scale``: entry
     k is 2/weight of a polygon that keeps k of its m entries.  Any other
-    block holds ``amps`` and ``amps2`` whole, and no ``kept_scale``.
+    block holds ``amps`` and ``amps2`` whole, and no ``kept_scale``.  Either
+    weighs a polygon that a plan hits by :meth:`weigh`, and keeps no
+    per-entry table of factors.
 
     A block read in place, as the one block of the grid's cells is, has no
     ``gathered``: it reads and writes a view of the state's leading E
@@ -182,16 +184,6 @@ class _Block:
             return self.kept_scale[-1]
         return _inverse_weights(self.amps2)
 
-    @cached_property
-    def lone_scale(self) -> np.ndarray:
-        """Row j: 2/weight per polygon with the entry of slot j detached, the
-        factor of a polygon that loses that one entry.  (m, P), built on the
-        block's first one_vs_rest split; one value for a uniform block."""
-        if self.kept_scale is not None:
-            return self.kept_scale[-2]
-        slots = np.arange(self.amps.shape[0])[:, None]
-        return np.array([_inverse_weights(np.where(slots == j, 0.0, self.amps2)) for j in range(slots.size)])
-
     def split(self, polygons: np.ndarray, slots: np.ndarray | None) -> tuple:
         """The patch (see :meth:`reflect`) of a plan that splits the listed
         polygons, ascending indices into the tessellation: it splits entry
@@ -204,9 +196,7 @@ class _Block:
         if slots is None:
             # the broken polygons keep no entry, so their factors are never read
             return None, polygons[:0], 0.0, (slice(None), polygons)
-        entries = slots * self.amps.shape[1] + polygons
-        lone = self.lone_scale
-        return entries, polygons, lone if lone.ndim == 0 else lone.take(entries), (slots, polygons)
+        return self.weigh(slots * self.amps.shape[1] + polygons, polygons, (slots, polygons))
 
     def lost(self, keys: np.ndarray) -> tuple:
         """The patch (see :meth:`reflect`) of the broken vertices: ``keys``
@@ -221,13 +211,24 @@ class _Block:
             entries = keys - self.offset
             entries = entries[(entries >= 0) & (entries < self.amps.size)]
             columns = entries % size
+        return self.weigh(entries, columns, None)
+
+    def weigh(self, entries: np.ndarray, columns: np.ndarray, split: tuple | None) -> tuple:
+        """The patch (see :meth:`reflect`) that detaches ``entries``, flat
+        indices into the (m, P) arrays, from ``columns``, the polygon of
+        each: a hit polygon is weighed, once per entry it loses, by the
+        entries it keeps.  A uniform block reads ``kept_scale`` at m less
+        the entries lost, one a polygon under a one_vs_rest ``split`` and
+        its count of broken vertices otherwise; any other block weighs its
+        hit polygons anew."""
+        m, size = self.amps.shape
         if self.kept_scale is not None:
-            # each hit polygon, once per entry it loses, by how many it keeps
-            return entries, columns, self.kept_scale[m - np.bincount(columns)[columns]], None
-        # Weigh each hit polygon anew, once per entry it loses, from a copy of
-        # its column with all its lost entries zeroed.  A C-ordered copy of
-        # two or more columns sums row by row, as the whole block does; one
-        # column sums pairwise, as a one-polygon block.
+            lost = 1 if split is not None else np.bincount(columns)[columns]
+            return entries, columns, self.kept_scale[m - lost], split
+        # Weigh each hit polygon anew from a copy of its column with all its
+        # lost entries zeroed.  A C-ordered copy of two or more columns sums
+        # row by row, as the whole block does; one column sums pairwise, as a
+        # one-polygon block.
         hit = columns[:1] if size == 1 else columns
         amps2 = self.amps2.reshape(-1)  # a view: amps2 is C-contiguous
         saved = amps2[entries]
@@ -236,7 +237,7 @@ class _Block:
             kept = self.amps2.take(np.repeat(hit, 2) if hit.size == 1 < size else hit, axis=1)
         finally:
             amps2[entries] = saved
-        return entries, hit, _inverse_weights(kept)[: hit.size], None
+        return entries, hit, _inverse_weights(kept)[: hit.size], split
 
     def reflect(self, vec: np.ndarray, out: np.ndarray, patch: tuple | None = None) -> None:
         """Reflect the block's entries (see :func:`_reflect`): of ``vec`` into

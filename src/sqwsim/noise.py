@@ -80,12 +80,21 @@ class _TessellationBreaks:
     lone_slot: np.ndarray | None
 
 
-def _read_only(arr: np.ndarray | None, dtype: type = np.intp) -> np.ndarray | None:
-    """A read-only copy of ``arr`` in ``dtype``; None for None."""
+def _read_only(arr: np.ndarray | None) -> np.ndarray | None:
+    """A read-only ``np.intp`` copy of ``arr``; None for None."""
     if arr is not None:
-        arr = arr.astype(dtype)
+        arr = arr.astype(np.intp)
         arr.setflags(write=False)
     return arr
+
+
+def _checked_indices(arr, bound: int, what: str) -> np.ndarray:
+    """A read-only ``np.intp`` copy of ``arr``, which must be a 1-d integer
+    array of ascending distinct indices in [0, ``bound``)."""
+    if not (isinstance(arr, np.ndarray) and arr.ndim == 1 and arr.dtype.kind in "iu"
+            and np.all(arr[1:] > arr[:-1]) and np.all((arr >= 0) & (arr < bound))):
+        raise ValueError(f"{what} must be a 1-d integer array of ascending distinct indices in [0, {bound})")
+    return _read_only(arr)
 
 
 #: The broken vertices of a plan that breaks none.
@@ -95,73 +104,80 @@ _NO_VERTICES.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class BreakPlan:
-    """One step's sampled perturbation, tied to the cover it was drawn from.
+    """One step's sampled perturbation, tied to the cover it was drawn from:
+    the indices it breaks.
 
-    At most one of ``broken_vertex_mask`` / ``polygon_breaks`` is populated,
-    and neither for a plan that breaks nothing: a mask that breaks no vertex
-    is kept as None, and a tessellation whose entry breaks no polygon is left
-    out, so such a plan is empty and walks exactly the clean path.
-    ``broken_vertices`` lists the mask's vertices, ascending, read once when
-    the plan is made.  A plan built by a caller is checked so that
+    At most one of ``broken_vertices`` / ``polygon_breaks`` is populated,
+    and neither for a plan that breaks nothing: a tessellation whose entry
+    breaks no polygon is left out, so such a plan is empty and walks exactly
+    the clean path.  A plan built by a caller is checked so that
     :func:`plan_step` and :func:`sqwsim.oracle.apply_plan` read it alike:
-    each ``polygon_breaks`` key is a tessellation of the cover, and its
-    ``broken`` polygons are ascending distinct indices into that
-    tessellation with, under one_vs_rest, a ``lone_slot`` inside each; it
-    keeps read-only copies of them, as ``np.intp``, and of the mask.  The
-    plans :func:`sample_plan` draws skip the check.
+    ``broken_vertices`` are ascending distinct indices into the cover's
+    vertices, each ``polygon_breaks`` key is a tessellation of the cover and
+    its value a :class:`_TessellationBreaks`, whose ``broken`` polygons are
+    ascending distinct indices into that tessellation with, under
+    one_vs_rest, a ``lone_slot`` inside each.  It keeps read-only copies of
+    these arrays, as ``np.intp``.  The plans :func:`sample_plan` draws skip
+    the check.
     """
 
     cover: TessellatedGraph
-    broken_vertex_mask: np.ndarray | None = None
+    broken_vertices: np.ndarray = field(default_factory=lambda: _NO_VERTICES)
     polygon_breaks: Mapping[int, _TessellationBreaks] = field(default_factory=dict)
-    broken_vertices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mask, shape = self.broken_vertex_mask, (self.cover.num_vertices,)
-        if mask is not None and self.polygon_breaks:
+        broken = _checked_indices(self.broken_vertices, self.cover.num_vertices, "broken vertices")
+        if broken.size and self.polygon_breaks:
             raise ValueError("a plan breaks either vertices or polygons, not both")
-        if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == np.bool_ and mask.shape == shape):
-            raise ValueError(f"broken_vertex_mask must be a bool array of shape {shape}")
         tessellations, polygon_breaks = self.cover.tessellations, {}
         for key, tb in self.polygon_breaks.items():
             t_idx = _as_index(key, "polygon_breaks key")
             if not 0 <= t_idx < len(tessellations):
                 raise ValueError(f"polygon_breaks key {t_idx} is not a tessellation of the cover, "
                                  f"which has {len(tessellations)}")
-            sizes, broken, lone = tessellations[t_idx].sizes, tb.broken, tb.lone_slot
-            if not (isinstance(broken, np.ndarray) and broken.ndim == 1 and broken.dtype.kind in "iu"
-                    and np.all(broken[1:] > broken[:-1]) and np.all((broken >= 0) & (broken < sizes.size))):
-                raise ValueError(f"broken polygons of tessellation {t_idx} must be a 1-d integer array "
-                                 f"of ascending distinct indices in [0, {sizes.size})")
+            if not isinstance(tb, _TessellationBreaks):
+                raise ValueError(f"polygon_breaks of tessellation {t_idx} must be a _TessellationBreaks, "
+                                 f"got {type(tb).__name__}")
+            sizes, lone = tessellations[t_idx].sizes, tb.lone_slot
+            polygons = _checked_indices(tb.broken, sizes.size, f"broken polygons of tessellation {t_idx}")
             if lone is not None and not (
-                    isinstance(lone, np.ndarray) and lone.shape == broken.shape and lone.dtype.kind in "iu"
-                    and np.all((lone >= 0) & (lone < sizes[broken]))):
+                    isinstance(lone, np.ndarray) and lone.shape == polygons.shape and lone.dtype.kind in "iu"
+                    and np.all((lone >= 0) & (lone < sizes[polygons]))):
                 raise ValueError(f"lone slots of tessellation {t_idx} must be an integer array, one slot "
                                  f"per broken polygon, each in [0, polygon size)")
-            if broken.size:
-                polygon_breaks[t_idx] = _TessellationBreaks(_read_only(broken), _read_only(lone))
-        broken = _NO_VERTICES if mask is None else mask.nonzero()[0]
-        object.__setattr__(self, "broken_vertex_mask", _read_only(mask, np.bool_) if broken.size else None)
+            if polygons.size:
+                polygon_breaks[t_idx] = _TessellationBreaks(polygons, _read_only(lone))
         object.__setattr__(self, "broken_vertices", broken)
         object.__setattr__(self, "polygon_breaks", polygon_breaks)
 
     @classmethod
-    def _sampled(cls, cover: TessellatedGraph, broken_vertex_mask: np.ndarray | None = None,
-                 broken_vertices: np.ndarray = _NO_VERTICES,
+    def _sampled(cls, cover: TessellatedGraph, broken_vertices: np.ndarray = _NO_VERTICES,
                  polygon_breaks: Mapping[int, _TessellationBreaks] | None = None) -> BreakPlan:
         """A plan that :func:`sample_plan` drew from ``cover``, taken
-        without the checks and normalization of ``__post_init__``, which
-        hold by construction."""
+        without the checks and copies of ``__post_init__``, which hold by
+        construction."""
         plan = object.__new__(cls)
         object.__setattr__(plan, "cover", cover)
-        object.__setattr__(plan, "broken_vertex_mask", broken_vertex_mask)
         object.__setattr__(plan, "broken_vertices", broken_vertices)
         object.__setattr__(plan, "polygon_breaks", {} if polygon_breaks is None else polygon_breaks)
         return plan
 
     @property
     def is_empty(self) -> bool:
-        return self.broken_vertex_mask is None and not self.polygon_breaks
+        return not self.broken_vertices.size and not self.polygon_breaks
+
+    @property
+    def broken_vertex_mask(self) -> np.ndarray | None:
+        """The broken vertices as a read-only bool mask over the cover's
+        vertices, built when read; None when no vertex breaks.  Only the
+        benchmark's tracer and the tests read it: the step and the oracle
+        read ``broken_vertices``."""
+        if not self.broken_vertices.size:
+            return None
+        mask = np.zeros(self.cover.num_vertices, dtype=bool)
+        mask[self.broken_vertices] = True
+        mask.setflags(write=False)
+        return mask
 
 
 def _scope_of(tg: TessellatedGraph, spec: NoiseSpec) -> tuple[int, ...]:
@@ -176,7 +192,9 @@ def _scope_of(tg: TessellatedGraph, spec: NoiseSpec) -> tuple[int, ...]:
 def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator) -> BreakPlan:
     """Draw one step's perturbation.  Draw order is fixed (vertices, or one
     uniform block per tessellation in ascending index order followed by the
-    lone-slot draws), so equal seeds give equal plans.
+    lone-slot draws), so equal seeds give equal plans.  The plan holds the
+    indices of what breaks: the vertices, or each tessellation's polygons,
+    whose uniform falls below p.
 
     A tessellation whose polygons share one size m draws its lone slots as
     ``rng.integers(0, m, size=k)``: the same values, and the same generator
@@ -186,9 +204,7 @@ def sample_plan(tg: TessellatedGraph, spec: NoiseSpec, rng: np.random.Generator)
         return BreakPlan._sampled(tg)
 
     if spec.kind == "break_vertices":
-        mask = rng.random(tg.num_vertices) < spec.p
-        broken = mask.nonzero()[0]
-        return BreakPlan._sampled(tg, mask, broken) if broken.size else BreakPlan._sampled(tg)
+        return BreakPlan._sampled(tg, (rng.random(tg.num_vertices) < spec.p).nonzero()[0])
 
     breaks: dict[int, _TessellationBreaks] = {}
     for t_idx in _scope_of(tg, spec):

@@ -184,7 +184,7 @@ def apply_plan(tg: TessellatedGraph, plan: BreakPlan) -> TessellatedGraph:
         raise ValueError("plan was sampled from a different cover")
     if plan.is_empty:
         return tg
-    if plan.broken_vertex_mask is not None:
+    if plan.broken_vertices.size:
         return remove_vertices(tg, plan.broken_vertices)
 
     parts = polygon_partitions(plan)

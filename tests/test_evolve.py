@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import sys
@@ -12,6 +13,7 @@ from conftest import random_cover, random_state, reflect
 from sqwsim.evolve import (
     InvariantError,
     WalkState,
+    _Block,
     _compiled,
     _flatten,
     _inverse_weights,
@@ -260,10 +262,9 @@ class TestCompiledLayout:
         assert (layout.covered, layout.blocks, layout.perm, layout.terms.size) == (0, (), None, 0)
         tg = TessellatedGraph(SimpleGraph(5), (tessellation_of(()),))
         rng = np.random.default_rng(14)
-        mask = np.arange(5) % 2 == 0
         real = rng.normal(size=5)
         for state in (WalkState(real / np.linalg.norm(real)), WalkState(random_state(rng, 5))):
-            for plan in (None, BreakPlan(tg, broken_vertex_mask=mask)):
+            for plan in (None, BreakPlan(tg, broken_vertices=np.arange(0, 5, 2))):
                 assert step(tg, state, plan)._amps.tobytes() == (-state._amps).tobytes()
 
     def test_step_looks_up_a_cover_once_per_thread(self):
@@ -531,11 +532,10 @@ class TestSplitPatch:
         tg = TessellatedGraph(SimpleGraph(90), SPLIT_COVERS["ragged_complex"].tessellations[:1])
         real = np.random.default_rng(24).normal(size=90)
         state = WalkState(real / np.linalg.norm(real))
-        mask = np.zeros(90, dtype=bool)
-        mask[::7] = True
-        out = plan_step(BreakPlan(tg, broken_vertex_mask=mask), state)._amps
+        broken = np.arange(0, 90, 7)
+        out = plan_step(BreakPlan(tg, broken_vertices=broken), state)._amps
         assert out.dtype == np.complex128
-        assert out[mask].tobytes() == (-state._amps[mask].astype(np.complex128)).tobytes()
+        assert out[broken].tobytes() == (-state._amps[broken].astype(np.complex128)).tobytes()
 
 
 class TestUniformBlock:
@@ -582,7 +582,13 @@ class TestUniformBlock:
             assert "sizes" not in vars(tess)
             for block in layout.blocks:
                 assert block.amps2 is None and block.conj_amps is block.amps and not any(block.amps.strides)
-                assert np.ndim(block.scale) == np.ndim(block.lone_scale) == 0
+                # a one_vs_rest split weighs each hit polygon by one value,
+                # that of a polygon keeping m - 1 of its m entries
+                m, size = block.amps.shape
+                columns = np.array([0, size - 1])
+                _, hit, hit_scale, _ = block.weigh(columns, columns, (np.zeros(2, dtype=np.intp), columns))
+                assert np.ndim(block.scale) == np.ndim(hit_scale) == 0
+                assert hit is columns and hit_scale == block.kept_scale[m - 1]
 
     @pytest.mark.parametrize(
         "noise",
@@ -608,6 +614,29 @@ class TestUniformBlock:
                     state = step(tg, state, None if noise is None else sample_plan(tg, noise, rng))
                 walks.append(state._amps.tobytes())
         assert walks[:2] == walks[2:]
+
+
+class TestOneWeighingRule:
+    """A polygon that loses entries is weighed by one rule, whether a split
+    or broken vertices hit it: from ``kept_scale`` in a uniform block, and
+    anew in any other, so no block caches a table of per-entry factors."""
+
+    @pytest.mark.parametrize("cover", ["ragged_real", "ragged_complex3", "coined"])
+    def test_one_vs_rest_splits_cache_no_per_entry_factors(self, cover):
+        tg = SPLIT_COVERS[cover]
+        rng = np.random.default_rng(43)
+        state = WalkState(random_state(rng, tg.num_vertices))
+        noise = NoiseSpec(kind="break_polygons", p=0.5, split_policy="one_vs_rest")
+        for _ in range(4):
+            state = plan_step(sample_plan(tg, noise, rng), state)
+        names = {f.name for f in dataclasses.fields(_Block)}
+        blocks = [block for layout in _layouts_of(tg) for block in layout.blocks]
+        assert any(block.kept_scale is None for block in blocks)
+        for block in blocks:
+            cached = {name: value for name, value in vars(block).items() if name not in names}
+            # ``scale`` holds one factor per polygon, or one for the block
+            assert set(cached) <= {"scale"}
+            assert all(np.ndim(value) <= 1 for value in cached.values())
 
 
 def _polygons_losing_several(plan) -> int:
@@ -719,7 +748,7 @@ def _reversed_plan(reversed_tg: TessellatedGraph, plan) -> BreakPlan:
     """``plan`` on the cover of the same tessellations in reverse order:
     tessellation t's polygon breaks belong to tessellation T - 1 - t."""
     last = reversed_tg.num_tessellations - 1
-    return BreakPlan(reversed_tg, broken_vertex_mask=plan.broken_vertex_mask,
+    return BreakPlan(reversed_tg, broken_vertices=plan.broken_vertices,
                      polygon_breaks={last - t: breaks for t, breaks in plan.polygon_breaks.items()})
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -350,14 +351,14 @@ class TestPerturbedStep:
         with pytest.raises(ValueError, match="zero amplitude"):
             Tessellation(np.arange(4), np.array([0, 2, 4]), np.array([1.0, 0.0, 0.6, 0.8]))
 
-    @pytest.mark.parametrize("kind", ["mask", *SPLIT_POLICIES])
+    @pytest.mark.parametrize("kind", ["vertices", *SPLIT_POLICIES])
     def test_plan_that_breaks_nothing_walks_the_clean_path(self, kind):
-        # an all-False mask, or a tessellation entry that breaks no polygon,
+        # no broken vertex, or a tessellation entry that breaks no polygon,
         # walked the patched pass, whose renormalized factors put it off the
         # clean step in the last bits after 3 steps
         tg = make_grid_of_cliques(GridSpec(5, 1))
-        if kind == "mask":
-            plan = BreakPlan(tg, broken_vertex_mask=np.zeros(tg.num_vertices, dtype=bool))
+        if kind == "vertices":
+            plan = BreakPlan(tg, broken_vertices=np.empty(0, dtype=np.int64))
         else:
             none = np.empty(0, dtype=np.int64)
             lone = None if kind == "singletons" else none
@@ -372,40 +373,57 @@ class TestPerturbedStep:
         assert noisy._amps.tobytes() == clean._amps.tobytes() == materialized._amps.tobytes()
 
     def test_plan_carries_its_broken_vertices_ascending(self):
+        # the sampler thresholds one uniform per vertex and keeps the indices
+        # below p; the mask is a view derived from them when read
         tg = make_grid_of_cliques(GridSpec(5, 1))
         plan = sample_plan(tg, NoiseSpec(kind="break_vertices", p=0.3), np.random.default_rng(3))
-        assert np.array_equal(plan.broken_vertices, np.flatnonzero(plan.broken_vertex_mask))
-        mask = plan.broken_vertex_mask.copy()
-        assert np.array_equal(BreakPlan(tg, broken_vertex_mask=mask).broken_vertices, plan.broken_vertices)
+        expected = np.flatnonzero(np.random.default_rng(3).random(tg.num_vertices) < 0.3)
+        assert plan.broken_vertices.dtype == np.intp and plan.broken_vertices.tolist() == expected.tolist()
+        assert [f.name for f in dataclasses.fields(BreakPlan)] == ["cover", "broken_vertices", "polygon_breaks"]
+        mask = plan.broken_vertex_mask
+        assert mask.shape == (tg.num_vertices,) and not mask.flags.writeable
+        assert np.array_equal(np.flatnonzero(mask), expected)
+        caller = BreakPlan(tg, broken_vertices=plan.broken_vertices.copy())
+        assert np.array_equal(caller.broken_vertices, plan.broken_vertices)
 
     def test_mixed_plan_rejected(self):
         # apply_plan would drop only the vertex, plan_step would let the
         # polygon break replace the broken vertex on tessellation 0
         tg = make_grid_of_cliques(GridSpec(2, 1))
-        mask = np.zeros(tg.num_vertices, dtype=bool)
-        mask[0] = True
         breaks = {0: _TessellationBreaks(broken=np.array([1]), lone_slot=None)}
         with pytest.raises(ValueError, match="not both"):
-            BreakPlan(tg, broken_vertex_mask=mask, polygon_breaks=breaks)
+            BreakPlan(tg, broken_vertices=np.array([0]), polygon_breaks=breaks)
 
     @pytest.mark.parametrize(
-        "mask",
+        "vertices",
         [
-            # 41 entries on 36 vertices, the last set: plan_step ignored the break
-            # past the cover, and apply_plan refused it as out of range
-            np.arange(41) == 40,
-            np.arange(35) == 3,
-            (np.arange(36) == 3).astype(int),
-            (np.arange(36) == 3)[:, None],
-            list(np.arange(36) == 3),
+            np.array([5, 3]),
+            np.array([3, 3]),
+            np.array([-1, 3]),
+            # vertex 36 of 36: plan_step would ignore the break past the
+            # cover, and apply_plan refuse it as out of range
+            np.array([3, 36]),
+            np.array([3.0]),
+            np.array([[3]]),
+            [3],
+            np.array([True]),
         ],
-        ids=["long", "short", "int", "2d", "list"],
+        ids=["unsorted", "repeated", "negative", "past_the_cover", "float", "2d", "list", "bool"],
     )
-    def test_mask_needs_one_flag_per_vertex(self, mask):
+    def test_broken_vertices_must_be_ascending_distinct_indices_of_the_cover(self, vertices):
         tg = make_grid_of_cliques(GridSpec(3, 1))
-        with pytest.raises(ValueError, match=r"^broken_vertex_mask must be a bool array of shape \(36,\)$"):
-            BreakPlan(tg, broken_vertex_mask=mask)
-        assert BreakPlan(tg, broken_vertex_mask=np.arange(36) == 3).broken_vertices.tolist() == [3]
+        message = r"^broken vertices must be a 1-d integer array of ascending distinct indices in \[0, 36\)$"
+        with pytest.raises(ValueError, match=message):
+            BreakPlan(tg, broken_vertices=vertices)
+        assert BreakPlan(tg, broken_vertices=np.array([3, 35])).broken_vertices.tolist() == [3, 35]
+
+    @pytest.mark.parametrize("value", [(np.array([1]), None), None], ids=["tuple", "none"])
+    def test_polygon_breaks_value_must_be_tessellation_breaks(self, value):
+        # each raised AttributeError, reading ``broken`` off the value
+        tg = make_grid_of_cliques(GridSpec(3, 1))
+        message = rf"^polygon_breaks of tessellation 0 must be a _TessellationBreaks, got {type(value).__name__}$"
+        with pytest.raises(ValueError, match=message):
+            BreakPlan(tg, polygon_breaks={0: value})
 
     @pytest.mark.parametrize(
         "breaks, message",
@@ -454,16 +472,23 @@ class TestPerturbedStep:
     def test_caller_plan_of_any_integer_dtype_walks_as_the_materialized_route(self, dtype):
         # a lone slot's entry index, slot * P + polygon, overflowed a narrow
         # dtype: 3 * 100 + 90 in int8 and uint8, 1 * 20000 + 15000 in int16
-        cases = [(GridSpec(10, 1), 0, [90, 95], [3, 2]), (GridSpec(100, 1), 1, [15000, 19999], [1, 0])]
+        cases = [(GridSpec(10, 1), 0, [90, 95], [3, 2], [0, 90, 127]),
+                 (GridSpec(100, 1), 1, [15000, 19999], [1, 0], [255, 32767, 39999])]
         rng = np.random.default_rng(19)
-        for spec, t_idx, broken, lone in cases:
-            if np.iinfo(dtype).max < max(broken):
-                continue
+        for spec, t_idx, broken, lone, vertices in cases:
             tg = make_grid_of_cliques(spec)
             state = WalkState(random_state(rng, tg.num_vertices))
-            for lone_slot in (None, np.array(lone, dtype=dtype)):
-                plan = BreakPlan(tg, polygon_breaks={
+            plans = []
+            if np.iinfo(dtype).max >= max(broken):
+                plans += [BreakPlan(tg, polygon_breaks={
                     t_idx: _TessellationBreaks(broken=np.array(broken, dtype=dtype), lone_slot=lone_slot)})
+                    for lone_slot in (None, np.array(lone, dtype=dtype))]
+            if np.iinfo(dtype).max >= max(vertices):
+                plan = BreakPlan(tg, broken_vertices=np.array(vertices, dtype=dtype))
+                kept = plan.broken_vertices
+                assert kept.dtype == np.intp and not kept.flags.writeable and kept.tolist() == vertices
+                plans.append(plan)
+            for plan in plans:
                 np.testing.assert_allclose(
                     plan_step(plan, state).amplitudes, step(apply_plan(tg, plan), state).amplitudes, atol=1e-15)
 
@@ -472,17 +497,18 @@ class TestPerturbedStep:
         # step raise IndexError
         tg = make_grid_of_cliques(GridSpec(3, 1))
         state = WalkState(random_state(np.random.default_rng(20), tg.num_vertices))
-        broken, lone, mask = np.array([0, 4], dtype=np.int32), np.array([3, 0], dtype=np.uint8), np.arange(36) == 5
+        broken, lone = np.array([0, 4], dtype=np.int32), np.array([3, 0], dtype=np.uint8)
+        vertices = np.array([5, 9], dtype=np.int16)
         plans = [BreakPlan(tg, polygon_breaks={0: _TessellationBreaks(broken=broken, lone_slot=lone)}),
-                 BreakPlan(tg, broken_vertex_mask=mask)]
+                 BreakPlan(tg, broken_vertices=vertices)]
         walked = [plan_step(plan, state)._amps.tobytes() for plan in plans]
-        broken[:], lone[:], mask[:] = [7, 8], [9, 9], True
+        broken[:], lone[:], vertices[:] = [7, 8], [9, 9], [40, 41]
         assert [plan_step(plan, state)._amps.tobytes() for plan in plans] == walked
         kept = plans[0].polygon_breaks[0]
-        for arr in (kept.broken, kept.lone_slot):
+        for arr in (kept.broken, kept.lone_slot, plans[1].broken_vertices):
             assert arr.dtype == np.intp and not arr.flags.writeable
         assert kept.broken.tolist() == [0, 4] and kept.lone_slot.tolist() == [3, 0]
-        assert not plans[1].broken_vertex_mask.flags.writeable and plans[1].broken_vertices.tolist() == [5]
+        assert plans[1].broken_vertices.tolist() == [5, 9]
 
     def test_sampler_skips_the_plan_check(self, monkeypatch):
         # sample_plan's plans hold the checked properties by construction, so

@@ -70,6 +70,9 @@ def test_tracer_sees_every_walk_step(case, tmp_path, monkeypatch):
     computed = [name for name in PER_LAYER if name in metrics]
     assert "noise.plan_step_s.p50" in computed and "evolve.first_step_s" in computed
     assert [name for name in computed if metrics[name].value is None] == []
+    # an annotation that raises is stored on its span, and its counts read 0
+    assert [(s.name, s.attrs) for s in spans if "annotation_error" in s.attrs] == []
+    assert metrics["noise.breaks_drawn"].value > 0
     assert metrics["evolve.steps"].value == walk_steps
     if case.startswith("sweep"):
         assert metrics["search.steps_simulated"].value == walk_steps
